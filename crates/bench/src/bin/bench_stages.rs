@@ -2,7 +2,8 @@
 //!
 //! Wall-clock is meaningless on a one-CPU CI container, so this
 //! benchmark regresses on *counters* instead: simulated cycles that had
-//! to be stepped one-by-one vs. batch fast-forwarded, linear-solver
+//! to be stepped one-by-one vs. jumped over with every core parked, core
+//! cycles skipped by parked cores, linear-solver
 //! structural flops per thermal solve, fixpoint iterations, and sweep
 //! cell outcomes. Every number is deterministic for a given seed and
 //! scale, so the thresholds below are enforced in-process: the binary
@@ -28,9 +29,15 @@ fn counter(trace: &tlp_obs::Trace, name: &str) -> u64 {
 }
 
 /// Stage 1: the simulator loop on barrier/lock-heavy gangs. The same
-/// gang runs once with event-driven fast-forward (the default) and once
-/// fully stepped; results must be identical and the fast-forward run
-/// must step measurably fewer cycles one-by-one.
+/// gang runs once with core parking (the default) and once fully
+/// stepped; results must be identical, the parked run must step
+/// measurably fewer cycles one-by-one, and its parked cores must skip at
+/// least [`PARKED_FLOOR`] core cycles.
+/// Floor for `sim.core_cycles_parked` over the stage-1 gangs: 90% of the
+/// 1 064 902 measured when parking landed (the counter is deterministic,
+/// so only a change to what parks can move it).
+const PARKED_FLOOR: u64 = 958_000;
+
 fn sim_stage(violations: &mut Vec<String>) -> Json {
     // Cholesky scales poorly (heavy barrier spin), Radix is lock-heavy;
     // the thrifty sleep policy adds the Asleep wait state to the mix.
@@ -41,6 +48,7 @@ fn sim_stage(violations: &mut Vec<String>) -> Json {
     let mut total_cycles = 0u64;
     let mut ff_cycles = 0u64;
     let mut stepped_without_ff = 0u64;
+    let mut parked_total = 0u64;
     let mut per_app = Vec::new();
     for app in apps {
         let run = |fast_forward: bool| {
@@ -60,14 +68,17 @@ fn sim_stage(violations: &mut Vec<String>) -> Json {
         }
         let cycles = counter(&fast_trace, "sim.cycles_retired");
         let ff = counter(&fast_trace, "sim.cycles_fast_forwarded");
+        let parked = counter(&fast_trace, "sim.core_cycles_parked");
         total_cycles += cycles;
         ff_cycles += ff;
+        parked_total += parked;
         stepped_without_ff += counter(&stepped_trace, "sim.cycles_retired");
         per_app.push((
             app.name(),
             Json::object([
                 ("cycles", Json::from(cycles)),
                 ("fast_forwarded", Json::from(ff)),
+                ("core_cycles_parked", Json::from(parked)),
             ]),
         ));
     }
@@ -87,9 +98,14 @@ fn sim_stage(violations: &mut Vec<String>) -> Json {
             "sim: stepped-cycle ratio {stepped_ratio:.3} (fast-forward on/off) exceeds 0.5"
         ));
     }
+    if parked_total < PARKED_FLOOR {
+        violations.push(format!(
+            "sim: parked cores skipped {parked_total} core cycles, below the floor of {PARKED_FLOOR}"
+        ));
+    }
     eprintln!(
         "  sim     : {total_cycles} cycles, {ff_cycles} fast-forwarded \
-         ({:.1}%), stepped ratio {stepped_ratio:.3}",
+         ({:.1}%), stepped ratio {stepped_ratio:.3}, {parked_total} core cycles parked",
         100.0 * ff_fraction
     );
     Json::object([
@@ -100,6 +116,8 @@ fn sim_stage(violations: &mut Vec<String>) -> Json {
         ("cycles_stepped_without_ff", Json::from(stepped_without_ff)),
         ("fast_forward_fraction", Json::from(ff_fraction)),
         ("stepped_ratio", Json::from(stepped_ratio)),
+        ("core_cycles_parked", Json::from(parked_total)),
+        ("core_cycles_parked_floor", Json::from(PARKED_FLOOR)),
     ])
 }
 

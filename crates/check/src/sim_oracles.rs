@@ -1,12 +1,12 @@
 //! Simulator-layer differential oracles.
 //!
-//! [`fast_forward_identity`] pits the event-driven fast-forward path of
-//! [`CmpSimulator`] against the cycle-stepped reference on randomized
-//! multi-threaded workloads: identical [`SimResult`]s, identical sample
-//! windows, identical error verdicts (deadlock diagnoses, exhausted
-//! budgets), down to the `Debug` rendering. The stepped loop is the
-//! executable specification; the fast-forward loop is the optimization
-//! under test.
+//! [`fast_forward_identity`] pits the parked run loop of [`CmpSimulator`]
+//! (per-core parking plus the clock jump when every core is parked)
+//! against the cycle-stepped reference on randomized multi-threaded
+//! workloads: identical [`SimResult`]s, identical sample windows,
+//! identical error verdicts (deadlock diagnoses, exhausted budgets), down
+//! to the `Debug` rendering. The stepped loop is the executable
+//! specification; the parked loop is the optimization under test.
 
 use tlp_sim::config::SleepPolicy;
 use tlp_sim::op::{Op, ScriptedProgram, ThreadProgram};
@@ -215,13 +215,13 @@ fn ff_check(c: &FfCase) -> Result<(), String> {
     Ok(())
 }
 
-/// Oracle: the event-driven fast-forward loop vs. the cycle-stepped
+/// Oracle: the parked simulator loop vs. the cycle-stepped
 /// reference — identical results, sample windows, and error verdicts on
 /// randomized gangs of compute/sync workloads.
 pub fn fast_forward_identity() -> Property {
     Property::new(
         "fast-forward-identity",
-        "batch-advancing through pure-wait stretches is observationally identical to stepping every cycle",
+        "parking cores through pure-wait stretches is observationally identical to stepping every cycle",
         gen_ff_case,
         shrink_ff_case,
         ff_check,

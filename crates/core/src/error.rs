@@ -63,6 +63,47 @@ impl fmt::Display for InterruptInfo {
     }
 }
 
+/// The limit that keeps a workload off a core count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CoreLimit {
+    /// The application runs only on power-of-two core counts (the
+    /// paper's "missing bars").
+    PowerOfTwo,
+    /// The chip has only this many cores.
+    ChipCores(usize),
+}
+
+/// A sweep cell whose core count its workload cannot run on, carried by
+/// [`ExperimentError::Unrunnable`]. Deterministic, so never retried.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnrunnableCell {
+    /// The workload, as the report names it (e.g. `"FFT"`).
+    pub work: String,
+    /// The requested core count.
+    pub n: usize,
+    /// The limit the count breaks.
+    pub limit: CoreLimit,
+}
+
+impl fmt::Display for UnrunnableCell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.limit {
+            CoreLimit::PowerOfTwo => write!(
+                f,
+                "{} runs only on power-of-two core counts, not on {}",
+                self.work, self.n
+            ),
+            CoreLimit::ChipCores(cores) => write!(
+                f,
+                "{} on {} cores exceeds the chip's {cores} cores",
+                self.work, self.n
+            ),
+        }
+    }
+}
+
+impl std::error::Error for UnrunnableCell {}
+
 /// Any failure of the experiment pipeline, from any layer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExperimentError {
@@ -88,6 +129,8 @@ pub enum ExperimentError {
     /// engine stopped starting new cells. All settled outcomes are in
     /// the journal; resume with the same configuration to finish.
     Interrupted(InterruptInfo),
+    /// A sweep cell asked for a core count its workload cannot run on.
+    Unrunnable(UnrunnableCell),
 }
 
 impl ExperimentError {
@@ -118,6 +161,7 @@ impl fmt::Display for ExperimentError {
             ExperimentError::Interrupted(info) => {
                 write!(f, "sweep interrupted: {info}; resume to finish")
             }
+            ExperimentError::Unrunnable(e) => write!(f, "core count not runnable: {e}"),
         }
     }
 }
@@ -132,6 +176,7 @@ impl std::error::Error for ExperimentError {
             ExperimentError::Trace(e) => Some(e),
             ExperimentError::Journal(e) => Some(e),
             ExperimentError::Interrupted(_) => None,
+            ExperimentError::Unrunnable(e) => Some(e),
         }
     }
 }

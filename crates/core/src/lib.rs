@@ -67,7 +67,9 @@ pub mod sweep;
 pub mod transient;
 
 pub use chipstate::{ChipMeasurement, ExperimentalChip, MeasureFaults, DIE_EDGE_MM};
-pub use error::{error_chain, ExperimentError, InterruptInfo, TraceError};
+pub use error::{
+    error_chain, CoreLimit, ExperimentError, InterruptInfo, TraceError, UnrunnableCell,
+};
 pub use governor::{ChipWide, Governor, ThermalAware};
 pub use journal::{Journal, JournalError, JournalMode, RecoveryReport};
 pub use profiling::{profile, EfficiencyProfile};

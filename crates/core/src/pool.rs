@@ -8,10 +8,13 @@
 //!   cache warmth) and steals FIFO from the other workers' deques when
 //!   its own runs dry (oldest first, which tends to steal the largest
 //!   remaining subtrees).
-//! - Tasks may spawn further tasks — the sweep engine uses this to fan a
-//!   per-application preparation task out into per-cell measurement
-//!   tasks as soon as the application's baseline is ready, with no
-//!   barrier between the phases.
+//! - Tasks may spawn further tasks — the sweep engine uses this for its
+//!   profile/cell graph: a cell task is spawned by whichever of its two
+//!   inputs (the row's anchor task, the cell's own profile task)
+//!   finishes last, with no barrier between phases or rows.
+//! - Workers record into the caller's trace capture, if it has one
+//!   ([`tlp_obs::recording`]), so a traced sweep sees its tasks' spans
+//!   and counters — and no other thread's.
 //! - [`run`] returns once every task, including transitively spawned
 //!   ones, has finished. A panicking task takes its worker down but
 //!   still counts as finished (so the remaining workers drain and exit),
@@ -250,16 +253,24 @@ pub fn run_watched<'env>(
     let pool = Pool::new(workers.max(1), deadline);
     seed(&pool);
     let stop = AtomicBool::new(false);
+    // Workers record into the caller's trace capture, if it has one.
+    let recording = tlp_obs::recording();
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..pool.workers())
             .map(|w| {
                 let pool = &pool;
-                s.spawn(move || pool.work(w))
+                s.spawn(move || {
+                    let _joined = recording.enter();
+                    pool.work(w)
+                })
             })
             .collect();
         let watchdog = deadline.map(|d| {
             let (pool, stop) = (&pool, &stop);
-            s.spawn(move || pool.watch(d, stop))
+            s.spawn(move || {
+                let _joined = recording.enter();
+                pool.watch(d, stop)
+            })
         });
         // Join the workers explicitly (capturing at most one panic
         // payload) so the watchdog can be told to stop before the scope
@@ -404,6 +415,20 @@ mod tests {
             });
         }));
         assert!(result.is_err(), "task panic must reach the caller");
+    }
+
+    #[test]
+    fn workers_record_into_the_callers_capture() {
+        let ((), trace) = tlp_obs::capture(|| {
+            run(3, |p| {
+                for i in 0..6 {
+                    p.spawn(move |_| {
+                        let _s = tlp_obs::span_with("task", || format!("t{i}"));
+                    });
+                }
+            });
+        });
+        assert_eq!(trace.spans_named("task").count(), 6);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use tlp_sim::SimResult;
 use tlp_workloads::{gang, AppId, Scale};
 
 use crate::chipstate::ExperimentalChip;
+use crate::error::CoreLimit;
 
 /// Nominal (no-DVFS) profile of one application.
 #[derive(Debug, Clone)]
@@ -64,6 +65,24 @@ impl EfficiencyProfile {
     }
 }
 
+/// The limit that keeps `app` off `n` cores of `chip`, if any: the
+/// counts [`profile`] skips.
+pub fn core_limit(chip: &ExperimentalChip, app: AppId, n: usize) -> Option<CoreLimit> {
+    if app.requires_pow2_threads() && !n.is_power_of_two() {
+        Some(CoreLimit::PowerOfTwo)
+    } else if n > chip.config().n_cores {
+        Some(CoreLimit::ChipCores(chip.config().n_cores))
+    } else {
+        None
+    }
+}
+
+/// Nominal parallel efficiency εn(N) = t1 / (N·tN) (Eq. 6) from the
+/// single-core and N-core execution times.
+pub fn efficiency(t1: f64, n: usize, tn: f64) -> f64 {
+    t1 / (n as f64 * tn)
+}
+
 /// Profiles `app` on each core count at nominal V/f.
 ///
 /// Core counts must be ascending and start at 1 (the reference). Counts
@@ -92,10 +111,7 @@ pub fn profile(
     let mut baseline: Option<SimResult> = None;
 
     for &n in core_counts {
-        if app.requires_pow2_threads() && !n.is_power_of_two() {
-            continue;
-        }
-        if n > chip.config().n_cores {
+        if core_limit(chip, app, n).is_some() {
             continue;
         }
         let result = chip.run(gang(app, n, scale, seed), op);
@@ -106,7 +122,7 @@ pub fn profile(
             .unwrap_or(t);
         counts.push(n);
         times.push(t);
-        efficiencies.push(t1 / (n as f64 * t));
+        efficiencies.push(efficiency(t1, n, t));
         if baseline.is_none() {
             baseline = Some(result);
         }

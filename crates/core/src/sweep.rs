@@ -50,16 +50,22 @@
 //!
 //! # Parallel execution
 //!
-//! Cells are independent, so the engine fans them out across an
-//! in-tree work-stealing pool ([`crate::pool`]): one preparation task
-//! per application (profiling plus the single-core reference
-//! measurement), which spawns one task per (application, core count)
-//! cell the moment its baseline is ready. Every cell writes into a
-//! pre-assigned slot and the report is reduced in request order, so the
-//! parallel output — [`CellOutcome`] sequence and JSON rendering — is
-//! byte-identical to a serial run ([`SweepOptions::threads`] = 1).
-//! Wall-clock timings are kept out of the deterministic payload in a
-//! separate [`SweepTiming`] record.
+//! The engine runs a small task graph on an in-tree work-stealing pool
+//! ([`crate::pool`]). Each workload row w gets an *anchor* task — the
+//! nominal-V/f single-core run (for a batch application, its n = 1
+//! profile run) plus the single-core reference measurement — and each
+//! batch row gets one *profile* task per core count n > 1, the nominal
+//! run that yields εn = t1/(n·tn). Cell (w, n) has two inputs, the
+//! anchor and profile(w, n); whichever settles last spawns the cell
+//! (server rows, whose εn is 1, and n = 1 cells need only the anchor).
+//! Only cells still unsettled get tasks: a resumed row profiles just the
+//! counts it still needs, and a core count the workload cannot run
+//! fails its cell with [`ExperimentError::Unrunnable`] before any task
+//! starts. Every cell writes into a pre-assigned slot and the report is
+//! reduced in request order, so the parallel output — [`CellOutcome`]
+//! sequence and JSON rendering — is byte-identical to a serial run
+//! ([`SweepOptions::threads`] = 1). Wall-clock timings are kept out of
+//! the deterministic payload in a separate [`SweepTiming`] record.
 //!
 //! # Crash safety: checkpoint, resume, watchdog, quarantine
 //!
@@ -103,15 +109,15 @@ use tlp_analytic::BudgetSpec;
 use tlp_sim::{ChipSpec, SimError, SimFaults, SimResult};
 use tlp_tech::rng::SplitMix64;
 use tlp_tech::units::Hertz;
-use tlp_tech::{DvfsTable, OperatingPoint, Technology};
+use tlp_tech::{DvfsTable, OperatingPoint};
 use tlp_thermal::{FixpointOptions, ThermalError};
 use tlp_workloads::{gang, AppId, Scale, ServerSpec};
 
 use crate::chipstate::{ChipMeasurement, ExperimentalChip, MeasureFaults};
-use crate::error::{error_chain, ExperimentError, InterruptInfo};
+use crate::error::{error_chain, CoreLimit, ExperimentError, InterruptInfo, UnrunnableCell};
 use crate::journal::{Journal, JournalError, JournalMode};
 use crate::pool;
-use crate::profiling::profile;
+use crate::profiling;
 use crate::scenario1::{operating_point_for, RequestSummary, Scenario1Row};
 
 /// What to sweep: the cross product of workloads and core counts at
@@ -628,21 +634,25 @@ impl SweepReport {
     }
 }
 
-/// Per-workload state shared between that workload's cell tasks: the
-/// nominal single-core run, the per-count nominal efficiencies Eq. 7
-/// consumes, and the single-core reference measurement every
-/// normalization anchors on.
-///
-/// Batch applications get their efficiencies from
-/// [`profile`](crate::profiling::profile); the server workload is
-/// open-loop (its capacity target is the offered load itself, not a
-/// speedup over one core), so its nominal efficiency is 1.0 at every
-/// count and Eq. 7 reduces to the iso-capacity point `f1/n`.
-struct WorkBaseline {
+/// A workload row's anchor, shared by all of that row's cells: the
+/// nominal-V/f single-core run and the single-core reference measurement
+/// every normalization anchors on.
+struct Anchor {
     baseline: SimResult,
-    efficiencies: Vec<f64>,
     base_measure: ChipMeasurement,
     base_attempts: u32,
+}
+
+/// One row's join point in the profile/cell task graph. A batch cell
+/// (w, n > 1) has two inputs — the row's anchor and its own profile run
+/// — and whichever settles last spawns the cell; both record here under
+/// the row's lock, so exactly one of them sees the other. A failed
+/// anchor never appears here, so no cell of its row is spawned.
+struct RowJoin {
+    /// The anchor, once it settled successfully.
+    anchor: Option<Arc<Anchor>>,
+    /// Profiled nominal execution time per core-count index, seconds.
+    times: Vec<Option<f64>>,
 }
 
 /// Where a sweep's captured trace goes.
@@ -1118,18 +1128,34 @@ fn sweep_engine(
     };
     let journal = journal.as_ref();
 
-    // One slot per cell, in request order. Tasks finish in arbitrary
-    // order; the deterministic reduction below reads the slots in index
-    // order.
-    let slots: Vec<Mutex<Option<(CellOutcome, f64)>>> =
-        (0..total).map(|_| Mutex::new(None)).collect();
+    let engine = Engine {
+        chip,
+        spec,
+        policy,
+        plan,
+        table: &table,
+        journal,
+        interrupt,
+        works: &works,
+        slots: (0..total).map(|_| Mutex::new(None)).collect(),
+        rows: works
+            .iter()
+            .map(|_| {
+                Mutex::new(RowJoin {
+                    anchor: None,
+                    times: vec![None; n_counts],
+                })
+            })
+            .collect(),
+    };
 
-    // Splice what the journal already settled: completed outcomes are
+    // Settle what needs no task. The journal's completed outcomes are
     // reused bit-exactly (never recomputed); cells past the poison
     // threshold are quarantined. Everything else — including ordinary
     // journaled failures — re-runs, which is deterministic, so the
-    // resumed report is byte-identical to an uninterrupted one.
-    let mut spliced = vec![false; total];
+    // resumed report is byte-identical to an uninterrupted one. A core
+    // count the workload cannot run fails on the spot.
+    let mut settled = vec![false; total];
     if let Some(state) = journal {
         let st = state.lock().expect("journal poisoned");
         for (ai, work) in works.iter().enumerate() {
@@ -1140,137 +1166,79 @@ fn sweep_engine(
                 };
                 let idx = ai * n_counts + ni;
                 if let Some(done) = &cell.completed {
-                    *slots[idx].lock().expect("slot poisoned") = Some((
+                    engine.fill(
+                        idx,
                         CellOutcome::Completed {
                             row: done.row.clone(),
                             attempts: done.attempts,
                             solver_iterations: done.solver_iterations,
                         },
                         0.0,
-                    ));
-                    spliced[idx] = true;
+                    );
+                    settled[idx] = true;
                     tlp_obs::metrics::SWEEP_CELLS_RESUMED.incr();
                 } else if policy.quarantine_after > 0
                     && cell.total_strikes() >= policy.quarantine_after
                 {
-                    *slots[idx].lock().expect("slot poisoned") =
-                        Some((quarantine_outcome(cell, spec.seed), 0.0));
-                    spliced[idx] = true;
+                    engine.fill(idx, quarantine_outcome(cell, spec.seed), 0.0);
+                    settled[idx] = true;
                 }
             }
         }
     }
-    let spliced = &spliced;
-    let start = Instant::now();
-
-    let works = &works;
-    pool::run_watched(threads, opts.deadline, |p| {
-        for (ai, &work) in works.iter().enumerate() {
-            // A workload whose every cell is already settled needs no
-            // preparation (profiling is the expensive part).
-            if (0..n_counts).all(|ni| spliced[ai * n_counts + ni]) {
+    for (ai, &work) in works.iter().enumerate() {
+        for (ni, &n) in spec.core_counts.iter().enumerate() {
+            let idx = ai * n_counts + ni;
+            if settled[idx] {
                 continue;
             }
-            let (slots, table, tech) = (&slots, &table, tech);
-            p.spawn(move |p| {
-                if interrupt_raised(interrupt) {
-                    return;
+            if let Some(limit) = core_limit(chip, work, n) {
+                let reason = ExperimentError::Unrunnable(UnrunnableCell {
+                    work: work.name(),
+                    n,
+                    limit,
+                });
+                engine.settle(
+                    ai,
+                    ni,
+                    CellOutcome::Failed {
+                        reason,
+                        attempts: 1,
+                    },
+                    0.0,
+                );
+                settled[idx] = true;
+            }
+        }
+    }
+    let start = Instant::now();
+
+    let engine = &engine;
+    pool::run_watched(threads, opts.deadline, |p| {
+        // Per row with unsettled cells: one anchor task plus, for a batch
+        // application, one profile task per unsettled count above 1. A
+        // row whose every cell is settled needs neither.
+        for (ai, &work) in works.iter().enumerate() {
+            let pending: Vec<usize> = (0..n_counts)
+                .filter(|&ni| !settled[ai * n_counts + ni])
+                .collect();
+            if pending.is_empty() {
+                continue;
+            }
+            let profiled: Vec<usize> = pending
+                .iter()
+                .copied()
+                .filter(|&ni| spec.core_counts[ni] > 1)
+                .collect();
+            p.spawn(move |p| engine.anchor_task(p, ai, pending));
+            if let WorkloadId::App(app) = work {
+                for ni in profiled {
+                    p.spawn(move |p| engine.profile_task(p, ai, ni, app));
                 }
-                // Preparation: the nominal-V/f single-core anchor run
-                // (plus, for batch applications, the efficiency
-                // profile), then the single-core reference measurement.
-                // If the anchor fails (including by injected fault),
-                // every cell of this workload fails with the same
-                // diagnosis — normalization needs the anchor.
-                let prep_start = Instant::now();
-                let _span = tlp_obs::span_with("sweep.prep", || work.name());
-                let base_cell = SweepCell { work, n: 1 };
-                let base = prepare_baseline(chip, spec, policy, plan, tech, work, base_cell);
-                let baseline = match base {
-                    Ok(b) => Arc::new(b),
-                    Err((reason, attempts)) => {
-                        let wall = prep_start.elapsed().as_secs_f64();
-                        let chain = error_chain(&reason);
-                        let name = work.name();
-                        for (ni, &n) in spec.core_counts.iter().enumerate() {
-                            let idx = ai * n_counts + ni;
-                            if spliced[idx] {
-                                continue;
-                            }
-                            journal_record(journal, |j| {
-                                j.record_failed(&name, n, spec.seed, &chain, attempts, false)
-                            });
-                            *slots[idx].lock().expect("slot poisoned") = Some((
-                                CellOutcome::Failed {
-                                    reason: reason.clone(),
-                                    attempts,
-                                },
-                                wall,
-                            ));
-                        }
-                        return;
-                    }
-                };
-                // Fan the workload's cells out the moment the anchor
-                // is ready — no barrier against other workloads.
-                for (ni, &n) in spec.core_counts.iter().enumerate() {
-                    if spliced[ai * n_counts + ni] {
-                        continue;
-                    }
-                    let baseline = Arc::clone(&baseline);
-                    // Watched: the cell path returns typed errors on
-                    // watchdog cancellation (prep does not, which is why
-                    // it is spawned unwatched above).
-                    p.spawn_watched(move |_| {
-                        if interrupt_raised(interrupt) {
-                            return;
-                        }
-                        let cell_start = Instant::now();
-                        let name = work.name();
-                        let _span = tlp_obs::span_with("sweep.cell", || format!("{name}@{n}"));
-                        journal_record(journal, |j| j.record_start(&name, n, spec.seed));
-                        let outcome = run_cell(
-                            chip, spec, policy, plan, table, tech, &baseline, work, n, ni,
-                        );
-                        match &outcome {
-                            CellOutcome::Completed {
-                                row,
-                                attempts,
-                                solver_iterations,
-                            } => journal_record(journal, |j| {
-                                j.record_completed(
-                                    &name,
-                                    n,
-                                    spec.seed,
-                                    row,
-                                    *attempts,
-                                    *solver_iterations,
-                                )
-                            }),
-                            CellOutcome::Failed { reason, attempts } => {
-                                let chain = error_chain(reason);
-                                journal_record(journal, |j| {
-                                    j.record_failed(
-                                        &name,
-                                        n,
-                                        spec.seed,
-                                        &chain,
-                                        *attempts,
-                                        is_hung(reason),
-                                    )
-                                });
-                            }
-                            CellOutcome::Quarantined { .. } => {
-                                unreachable!("run_cell never quarantines")
-                            }
-                        }
-                        *slots[ai * n_counts + ni].lock().expect("slot poisoned") =
-                            Some((outcome, cell_start.elapsed().as_secs_f64()));
-                    });
-                }
-            });
+            }
         }
     });
+    let slots = &engine.slots;
 
     // The durability layer failing is loud: a checkpointed sweep whose
     // journal cannot be written has silently lost its crash-safety
@@ -1302,10 +1270,11 @@ fn sweep_engine(
 
     let mut cells = Vec::with_capacity(slots.len());
     let mut cell_seconds = Vec::with_capacity(slots.len());
-    for (i, slot) in slots.into_iter().enumerate() {
+    for (i, slot) in slots.iter().enumerate() {
         let (outcome, wall) = slot
-            .into_inner()
+            .lock()
             .expect("slot poisoned")
+            .take()
             .expect("every sweep cell writes its slot");
         let cell = SweepCell {
             work: works[i / n_counts],
@@ -1334,98 +1303,245 @@ fn sweep_engine(
     })
 }
 
-/// Builds the per-workload anchor: the nominal-V/f single-core run, the
-/// per-count nominal efficiencies, and the supervised single-core
-/// reference measurement.
-///
-/// Batch applications are profiled over the spec's core counts; the
-/// open-loop server workload runs its single-thread gang once at
-/// nominal V/f (its arrival process is anchored to wall-clock offered
-/// load, so the gang is rebuilt per operating point later) and uses
-/// efficiency 1.0 at every count.
-fn prepare_baseline(
-    chip: &ExperimentalChip,
-    spec: &SweepSpec,
-    policy: &RetryPolicy,
-    plan: &FaultPlan,
-    tech: &Technology,
-    work: WorkloadId,
-    base_cell: SweepCell,
-) -> Result<WorkBaseline, (ExperimentError, u32)> {
-    let (baseline, efficiencies) = match work {
-        WorkloadId::App(app) => {
-            let prof = profile(chip, app, &spec.core_counts, spec.scale, spec.seed);
-            (prof.baseline, prof.efficiencies)
+/// The limit that keeps `work` off `n` cores of `chip`, if any. Server
+/// rows run any count the chip has cores for.
+fn core_limit(chip: &ExperimentalChip, work: WorkloadId, n: usize) -> Option<CoreLimit> {
+    match work {
+        WorkloadId::App(app) => profiling::core_limit(chip, app, n),
+        WorkloadId::Server { .. } => {
+            (n > chip.config().n_cores).then_some(CoreLimit::ChipCores(chip.config().n_cores))
         }
-        WorkloadId::Server { rps } => {
-            let nominal = OperatingPoint {
-                frequency: tech.f_nominal(),
-                voltage: tech.vdd_nominal(),
-            };
-            let server = ServerSpec::standard(rps, spec.scale);
-            let r = chip
-                .try_run_with(
+    }
+}
+
+/// Everything the tasks of one sweep share: its inputs, the per-cell
+/// result slots (in request order) and the per-row join points.
+struct Engine<'a> {
+    chip: &'a ExperimentalChip,
+    spec: &'a SweepSpec,
+    policy: &'a RetryPolicy,
+    plan: &'a FaultPlan,
+    table: &'a DvfsTable,
+    journal: Option<&'a Mutex<JournalState>>,
+    interrupt: Option<&'a AtomicBool>,
+    works: &'a [WorkloadId],
+    /// One slot per cell, in request order. Tasks finish in arbitrary
+    /// order; the deterministic reduction reads the slots in index order.
+    slots: Vec<Mutex<Option<(CellOutcome, f64)>>>,
+    rows: Vec<Mutex<RowJoin>>,
+}
+
+impl Engine<'_> {
+    fn fill(&self, idx: usize, outcome: CellOutcome, wall: f64) {
+        *self.slots[idx].lock().expect("slot poisoned") = Some((outcome, wall));
+    }
+
+    /// Journals a freshly computed outcome of cell (row `ai`, count
+    /// index `ni`), then fills its slot.
+    fn settle(&self, ai: usize, ni: usize, outcome: CellOutcome, wall: f64) {
+        let (name, n) = (self.works[ai].name(), self.spec.core_counts[ni]);
+        let seed = self.spec.seed;
+        match &outcome {
+            CellOutcome::Completed {
+                row,
+                attempts,
+                solver_iterations,
+            } => journal_record(self.journal, |j| {
+                j.record_completed(&name, n, seed, row, *attempts, *solver_iterations)
+            }),
+            CellOutcome::Failed { reason, attempts } => {
+                let chain = error_chain(reason);
+                journal_record(self.journal, |j| {
+                    j.record_failed(&name, n, seed, &chain, *attempts, is_hung(reason))
+                });
+            }
+            CellOutcome::Quarantined { .. } => unreachable!("only a resume quarantines"),
+        }
+        self.fill(ai * self.spec.core_counts.len() + ni, outcome, wall);
+    }
+
+    /// The row's anchor: the nominal-V/f single-core run (for a batch
+    /// application, its n = 1 profile run), then the supervised
+    /// single-core reference measurement. Spawns every cell whose other
+    /// input is already in; if the anchor fails (including by injected
+    /// fault), every pending cell of the row fails with the same
+    /// diagnosis — normalization needs the anchor.
+    fn anchor_task<'s>(&'s self, p: &pool::Pool<'s>, ai: usize, pending: Vec<usize>) {
+        if interrupt_raised(self.interrupt) {
+            return;
+        }
+        let work = self.works[ai];
+        let prep_start = Instant::now();
+        let _span = tlp_obs::span_with("sweep.prep", || work.name());
+        let anchor = match self.prepare_anchor(work) {
+            Ok(anchor) => Arc::new(anchor),
+            Err((reason, attempts)) => {
+                let wall = prep_start.elapsed().as_secs_f64();
+                for ni in pending {
+                    let outcome = CellOutcome::Failed {
+                        reason: reason.clone(),
+                        attempts,
+                    };
+                    self.settle(ai, ni, outcome, wall);
+                }
+                return;
+            }
+        };
+        let t1 = anchor.baseline.execution_time().as_f64();
+        let ready: Vec<(usize, f64)> = {
+            let mut row = self.rows[ai].lock().expect("row poisoned");
+            row.anchor = Some(Arc::clone(&anchor));
+            pending
+                .into_iter()
+                .filter_map(|ni| {
+                    let n = self.spec.core_counts[ni];
+                    match work {
+                        // Open loop: the capacity target is the offered
+                        // load itself, so εn is 1 and Eq. 7 reduces to
+                        // the iso-capacity point f1/n.
+                        WorkloadId::Server { .. } => Some((ni, 1.0)),
+                        WorkloadId::App(_) if n == 1 => {
+                            Some((ni, profiling::efficiency(t1, 1, t1)))
+                        }
+                        WorkloadId::App(_) => {
+                            row.times[ni].map(|tn| (ni, profiling::efficiency(t1, n, tn)))
+                        }
+                    }
+                })
+                .collect()
+        };
+        for (ni, eps) in ready {
+            self.spawn_cell(p, ai, ni, Arc::clone(&anchor), eps);
+        }
+    }
+
+    /// Builds the row's [`Anchor`]. A batch application's single-core
+    /// run is its n = 1 profile run; the open-loop server workload runs
+    /// its single-thread gang once at nominal V/f (its arrival process is
+    /// anchored to wall-clock offered load, so the gang is rebuilt per
+    /// operating point later).
+    fn prepare_anchor(&self, work: WorkloadId) -> Result<Anchor, (ExperimentError, u32)> {
+        let (chip, spec, plan) = (self.chip, self.spec, self.plan);
+        let base_cell = SweepCell { work, n: 1 };
+        let tech = chip.tech();
+        let baseline = match work {
+            WorkloadId::App(app) => {
+                let _span = tlp_obs::span_with("profile", || format!("{work}@1"));
+                chip.run(
+                    gang(app, 1, spec.scale, spec.seed),
+                    chip.config().operating_point,
+                )
+            }
+            WorkloadId::Server { rps } => {
+                let nominal = OperatingPoint {
+                    frequency: tech.f_nominal(),
+                    voltage: tech.vdd_nominal(),
+                };
+                let server = ServerSpec::standard(rps, spec.scale);
+                chip.try_run_with(
                     server.gang(1, spec.seed, nominal.frequency),
                     nominal,
                     plan.sim_faults_for(base_cell),
                 )
-                .map_err(|e| (e, 1))?;
-            (r, vec![1.0; spec.core_counts.len()])
+                .map_err(|e| (e, 1))?
+            }
+        };
+        let (base_measure, base_attempts) = {
+            let _span = tlp_obs::span_with("sweep.baseline", || work.name());
+            supervise(self.policy, |opts| {
+                chip.try_measure_with(
+                    &baseline,
+                    tech.vdd_nominal(),
+                    opts,
+                    &plan.measure_faults_for(base_cell),
+                )
+            })?
+        };
+        Ok(Anchor {
+            baseline,
+            base_measure,
+            base_attempts,
+        })
+    }
+
+    /// One nominal-V/f profile run of a batch application on
+    /// `core_counts[ni]` cores; spawns the cell if the anchor is in.
+    fn profile_task<'s>(&'s self, p: &pool::Pool<'s>, ai: usize, ni: usize, app: AppId) {
+        if interrupt_raised(self.interrupt) {
+            return;
         }
-    };
-    let (base_measure, base_attempts) = {
-        let _span = tlp_obs::span_with("sweep.baseline", || work.name());
-        supervise(policy, |opts| {
-            chip.try_measure_with(
-                &baseline,
-                tech.vdd_nominal(),
-                opts,
-                &plan.measure_faults_for(base_cell),
-            )
-        })?
-    };
-    Ok(WorkBaseline {
-        baseline,
-        efficiencies,
-        base_measure,
-        base_attempts,
-    })
+        let (spec, work, n) = (self.spec, self.works[ai], self.spec.core_counts[ni]);
+        let tn = {
+            let _span = tlp_obs::span_with("profile", || format!("{work}@{n}"));
+            self.chip
+                .run(
+                    gang(app, n, spec.scale, spec.seed),
+                    self.chip.config().operating_point,
+                )
+                .execution_time()
+                .as_f64()
+        };
+        let anchor = {
+            let mut row = self.rows[ai].lock().expect("row poisoned");
+            row.times[ni] = Some(tn);
+            row.anchor.clone()
+        };
+        if let Some(anchor) = anchor {
+            let t1 = anchor.baseline.execution_time().as_f64();
+            self.spawn_cell(p, ai, ni, anchor, profiling::efficiency(t1, n, tn));
+        }
+    }
+
+    /// Spawns cell (row `ai`, count index `ni`) at nominal efficiency
+    /// `eps`. Watched: the cell path returns typed errors on watchdog
+    /// cancellation (anchor and profile runs do not, which is why they
+    /// are spawned unwatched).
+    fn spawn_cell<'s>(
+        &'s self,
+        p: &pool::Pool<'s>,
+        ai: usize,
+        ni: usize,
+        anchor: Arc<Anchor>,
+        eps: f64,
+    ) {
+        p.spawn_watched(move |_| {
+            if interrupt_raised(self.interrupt) {
+                return;
+            }
+            let (work, n) = (self.works[ai], self.spec.core_counts[ni]);
+            let cell_start = Instant::now();
+            let name = work.name();
+            let _span = tlp_obs::span_with("sweep.cell", || format!("{name}@{n}"));
+            journal_record(self.journal, |j| j.record_start(&name, n, self.spec.seed));
+            let outcome = run_cell(self, &anchor, work, n, eps);
+            self.settle(ai, ni, outcome, cell_start.elapsed().as_secs_f64());
+        });
+    }
 }
 
 /// One supervised cell: simulate at the Eq. 7 iso-performance operating
-/// point, then measure under the retry policy. Self-contained and
-/// deterministic — the outcome depends only on the arguments, never on
-/// scheduling.
-#[allow(clippy::too_many_arguments)]
-fn run_cell(
-    chip: &ExperimentalChip,
-    spec: &SweepSpec,
-    policy: &RetryPolicy,
-    plan: &FaultPlan,
-    table: &DvfsTable,
-    tech: &Technology,
-    baseline: &WorkBaseline,
-    work: WorkloadId,
-    n: usize,
-    idx: usize,
-) -> CellOutcome {
+/// point for nominal efficiency `eps`, then measure under the retry
+/// policy. Self-contained and deterministic — the outcome depends only
+/// on the arguments, never on scheduling.
+fn run_cell(e: &Engine<'_>, anchor: &Anchor, work: WorkloadId, n: usize, eps: f64) -> CellOutcome {
+    let (chip, spec, policy, plan, table) = (e.chip, e.spec, e.policy, e.plan, e.table);
+    let tech = chip.tech();
     let cell = SweepCell { work, n };
     let f1 = tech.f_nominal();
     let nominal = OperatingPoint {
         frequency: f1,
         voltage: tech.vdd_nominal(),
     };
-    let base_power = baseline.base_measure.total();
-    let base_density = baseline.base_measure.power_density;
-    let base_time = baseline.baseline.execution_time();
-    let eps = baseline.efficiencies[idx];
+    let base_power = anchor.base_measure.total();
+    let base_density = anchor.base_measure.power_density;
+    let base_time = anchor.baseline.execution_time();
 
     // The operating point and the simulation run once per cell; only
     // the thermal solve is retried (the simulator is deterministic, so
     // re-running it cannot change anything).
     let outcome = (|| -> Result<(Scenario1Row, u32, u32), (ExperimentError, u32)> {
         let (result, op) = if n == 1 {
-            (baseline.baseline.clone(), nominal)
+            (anchor.baseline.clone(), nominal)
         } else {
             let op = operating_point_for(table, f1, n, eps).map_err(|e| (e, 1))?;
             let gang = match work {
@@ -1497,7 +1613,7 @@ fn run_cell(
                 operating_point: op,
                 requests,
             },
-            attempts.max(if n == 1 { baseline.base_attempts } else { 1 }),
+            attempts.max(if n == 1 { anchor.base_attempts } else { 1 }),
             m.fixpoint_iterations,
         ))
     })();
@@ -1687,12 +1803,92 @@ mod tests {
         assert_eq!(trace.spans_named("sweep.run").count(), 1);
         assert_eq!(trace.spans_named("sweep.prep").count(), 1);
         assert_eq!(trace.spans_named("sweep.cell").count(), 2);
+        // One profile run per count: n = 1 inside the row's anchor, the
+        // others as tasks of their own.
+        let mut profiles: Vec<_> = trace
+            .spans_named("profile")
+            .map(|s| s.detail.as_str())
+            .collect();
+        profiles.sort_unstable();
+        assert_eq!(profiles, ["Water-Nsq@1", "Water-Nsq@2"]);
         assert!(trace.spans_named("sim.run").count() >= 2);
         assert!(trace.counter("sweep.cells_completed") == Some(2));
         assert!(trace.counter("thermal.fixpoint_iterations").unwrap_or(0) > 0);
         let solves = trace.counter("linalg.lu_solves").unwrap_or(0)
             + trace.counter("linalg.banded_solves").unwrap_or(0);
         assert!(solves > 0, "no thermal solves recorded");
+    }
+
+    #[test]
+    fn unrunnable_core_counts_fail_their_cells_with_a_typed_reason() {
+        // FFT runs only on power-of-two counts, and nothing runs on more
+        // cores than the chip has. Such a count fails its own cell; the
+        // rest of the row matches a grid that never asked for it, since
+        // εn is looked up by core count, not by position.
+        let fft = WorkloadId::App(AppId::Fft);
+        let grid = |counts: Vec<usize>| SweepSpec {
+            core_counts: counts,
+            ..spec(vec![AppId::Fft])
+        };
+        let clean = chip()
+            .sweep()
+            .grid(grid(vec![1, 2, 4]))
+            .serial()
+            .run()
+            .unwrap();
+        let row = |r: &SweepReport, n: usize| {
+            let (_, outcome) = r.cells.iter().find(|(c, _)| c.n == n).unwrap();
+            format!("{outcome:?}")
+        };
+        for (counts, bad, limit) in [
+            (vec![1, 3, 4], 3, CoreLimit::PowerOfTwo),
+            (vec![1, 2, 32], 32, CoreLimit::ChipCores(16)),
+        ] {
+            for threads in [1, 2] {
+                let r = chip()
+                    .sweep()
+                    .grid(grid(counts.clone()))
+                    .threads(threads)
+                    .run()
+                    .unwrap();
+                let failed: Vec<_> = r.failed().collect();
+                assert_eq!(failed.len(), 1, "{}", r.summary());
+                let (cell, reason, attempts) = failed[0];
+                assert_eq!(cell, SweepCell { work: fft, n: bad });
+                assert_eq!(attempts, 1);
+                assert!(!reason.is_retryable());
+                assert_eq!(
+                    *reason,
+                    ExperimentError::Unrunnable(UnrunnableCell {
+                        work: "FFT".into(),
+                        n: bad,
+                        limit,
+                    })
+                );
+                for &n in counts.iter().filter(|&&n| n != bad) {
+                    assert_eq!(row(&r, n), row(&clean, n), "FFT@{n} at {threads} threads");
+                }
+            }
+        }
+        let r = chip()
+            .sweep()
+            .grid(grid(vec![1, 3]))
+            .serial()
+            .run()
+            .unwrap();
+        assert_eq!(
+            r.failed().next().unwrap().1.to_string(),
+            "core count not runnable: FFT runs only on power-of-two core counts, not on 3"
+        );
+        let mut servers = spec(Vec::new());
+        servers.server_loads = vec![5_000_000];
+        servers.core_counts = vec![1, 17];
+        let r = chip().sweep().grid(servers).serial().run().unwrap();
+        assert_eq!(
+            r.failed().next().unwrap().1.to_string(),
+            "core count not runnable: server-5000000 on 17 cores exceeds the chip's 16 cores"
+        );
+        assert_eq!(r.completed().count(), 1);
     }
 
     #[test]

@@ -26,11 +26,19 @@
 //! allocation, no lock. The disabled path is designed to stay within
 //! noise of an uninstrumented build.
 //!
-//! When a capture is active, each thread buffers its events in a
-//! thread-local vector (shared with the collector behind a mutex that is
-//! only ever contended at flush time). The work-stealing pool's scope
-//! join is the synchronization point: once `pool::run` returns, every
-//! worker's buffer is complete, and [`capture`] drains them into a single
+//! A capture records only the thread that called [`capture`] and the
+//! threads that explicitly join it: a thread spawned under a capture
+//! takes the parent's [`recording`] handle and [`Recording::enter`]s it
+//! (the sweep pool does this for every worker it starts). Work on any
+//! other thread — a concurrent test, a daemon's connection handler —
+//! neither opens spans nor advances counters in the capture, even
+//! though it runs while the capture is active.
+//!
+//! Each recording thread buffers its events in a thread-local vector
+//! (shared with the collector behind a mutex that is only ever contended
+//! at flush time). The work-stealing pool's scope join is the
+//! synchronization point: once `pool::run` returns, every worker's
+//! buffer is complete, and [`capture`] drains them into a single
 //! [`Trace`].
 //!
 //! # Coherent parallel traces
@@ -74,14 +82,19 @@ mod trace;
 
 pub use trace::{SpanRec, Trace};
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Whether a capture is currently recording. Instrumentation sites check
-/// this first; when `false` they cost one relaxed atomic load.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Epoch of the capture that is recording, 0 when none is.
+/// Instrumentation sites check this first; with no capture active they
+/// cost one relaxed atomic load.
+static ACTIVE: AtomicU64 = AtomicU64::new(0);
+
+/// Epoch source: every capture gets a fresh one, so a thread left over
+/// from an earlier capture never records into a later one.
+static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
 
 /// Monotonic span-id source (0 is reserved for "no parent").
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
@@ -112,14 +125,57 @@ struct ThreadBuffer {
 
 thread_local! {
     static BUFFER: RefCell<Option<ThreadBuffer>> = const { RefCell::new(None) };
+    /// Epoch of the capture this thread records into (0: none).
+    static JOINED: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Whether a capture is active. Instrumentation may use this to skip
-/// building expensive details; [`span`]/[`span_with`] and the metric
-/// types already check it internally.
+/// Whether the current thread is recording into an active capture.
+/// Instrumentation may use this to skip building expensive details;
+/// [`span`]/[`span_with`] and the metric types already check it
+/// internally.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    let active = ACTIVE.load(Ordering::Relaxed);
+    active != 0 && JOINED.with(Cell::get) == active
+}
+
+/// Membership in a capture, to hand to a thread spawned under it; see
+/// [`recording`].
+#[derive(Debug, Clone, Copy)]
+pub struct Recording {
+    epoch: u64,
+}
+
+/// The capture the current thread records into. A thread spawned under
+/// a capture records into it only after [`Recording::enter`]ing this
+/// handle; taken outside any capture, the handle records nothing.
+pub fn recording() -> Recording {
+    Recording {
+        epoch: JOINED.with(Cell::get),
+    }
+}
+
+impl Recording {
+    /// Makes the current thread record into this handle's capture until
+    /// the guard drops (which restores what the thread recorded into
+    /// before).
+    pub fn enter(self) -> RecordingGuard {
+        RecordingGuard {
+            prev: JOINED.with(|j| j.replace(self.epoch)),
+        }
+    }
+}
+
+/// Restores the thread's previous capture membership when dropped.
+#[must_use = "dropping the guard immediately leaves the capture"]
+pub struct RecordingGuard {
+    prev: u64,
+}
+
+impl Drop for RecordingGuard {
+    fn drop(&mut self) {
+        JOINED.with(|j| j.set(self.prev));
+    }
 }
 
 fn now_ns() -> u64 {
@@ -129,8 +185,9 @@ fn now_ns() -> u64 {
         .unwrap_or(0)
 }
 
-/// Runs `f` with recording enabled and returns its value plus the
-/// collected [`Trace`].
+/// Runs `f` with recording enabled on the current thread and returns its
+/// value plus the collected [`Trace`]. Threads `f` starts record into the
+/// capture only if they [`Recording::enter`] the caller's [`recording`].
 ///
 /// Captures serialize on a global lock: a second concurrent `capture`
 /// blocks until the first finishes, so traces never interleave. Do not
@@ -145,9 +202,14 @@ pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Trace) {
     drain_all();
     metrics::reset_all();
     let _ = START.set(Instant::now());
-    ENABLED.store(true, Ordering::SeqCst);
-    let value = f();
-    ENABLED.store(false, Ordering::SeqCst);
+    let epoch = NEXT_EPOCH.fetch_add(1, Ordering::Relaxed);
+    let value = {
+        let _joined = Recording { epoch }.enter();
+        ACTIVE.store(epoch, Ordering::SeqCst);
+        let value = f();
+        ACTIVE.store(0, Ordering::SeqCst);
+        value
+    };
     let mut spans = drain_all();
     spans.sort_by_key(|a| (a.start_ns, a.tid, a.id));
     let trace = Trace {
@@ -328,7 +390,9 @@ mod tests {
         let ((), trace) = capture(|| {
             let handles: Vec<_> = (0..4)
                 .map(|i| {
+                    let rec = recording();
                     std::thread::spawn(move || {
+                        let _joined = rec.enter();
                         let _s = span_with("worker", move || format!("w{i}"));
                     })
                 })
@@ -342,6 +406,56 @@ mod tests {
         // Spawned-thread spans are top-level: their logical parent is the
         // thread's own (empty) stack, not whatever another thread had open.
         assert!(workers.iter().all(|s| s.parent == 0));
+    }
+
+    #[test]
+    fn unrelated_threads_record_nothing_into_a_capture() {
+        use std::sync::atomic::AtomicBool;
+        // A thread that never joined the capture keeps opening spans and
+        // bumping a counter while the capture is active; none of it may
+        // land in the trace.
+        let stop = Arc::new(AtomicBool::new(false));
+        let rounds = Arc::new(AtomicU64::new(0));
+        let unrelated = {
+            let (stop, rounds) = (Arc::clone(&stop), Arc::clone(&rounds));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    {
+                        let _s = span("unrelated");
+                        metrics::SWEEP_RETRY_ATTEMPTS.incr();
+                    }
+                    rounds.fetch_add(1, Ordering::SeqCst);
+                    std::thread::yield_now();
+                }
+            })
+        };
+        let ((), trace) = capture(|| {
+            let _s = span("mine");
+            // Two rounds that both start after recording switched on.
+            let seen = rounds.load(Ordering::SeqCst);
+            while rounds.load(Ordering::SeqCst) < seen + 2 {
+                std::thread::yield_now();
+            }
+        });
+        stop.store(true, Ordering::SeqCst);
+        unrelated.join().unwrap();
+        let names: Vec<_> = trace.spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["mine"]);
+        assert_eq!(trace.counter("sweep.retry_attempts"), Some(0));
+    }
+
+    #[test]
+    fn a_recording_handle_outlives_its_capture_harmlessly() {
+        let (rec, _) = capture(recording);
+        let ((), trace) = capture(|| {
+            std::thread::spawn(move || {
+                let _stale = rec.enter();
+                let _s = span("stale");
+            })
+            .join()
+            .unwrap();
+        });
+        assert!(trace.spans.is_empty(), "{:?}", trace.spans);
     }
 
     #[test]

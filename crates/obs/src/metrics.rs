@@ -235,10 +235,13 @@ macro_rules! counters {
 counters! { COUNTERS, new;
     /// Simulated cycles retired by the CMP simulator's run loop.
     SIM_CYCLES_RETIRED => "sim.cycles_retired",
-    /// Simulated cycles covered by closed-form fast-forward batches
-    /// instead of cycle-by-cycle stepping (a subset of
-    /// `sim.cycles_retired`).
+    /// Simulated cycles the run loop jumped over because every live core
+    /// was parked in a pure wait (a subset of `sim.cycles_retired`).
     SIM_CYCLES_FAST_FORWARDED => "sim.cycles_fast_forwarded",
+    /// Core cycles (clock-domain ticks) that parked cores skipped and
+    /// had applied in closed form when caught up, instead of being
+    /// stepped one by one.
+    SIM_CORE_CYCLES_PARKED => "sim.core_cycles_parked",
     /// Instructions retired chip-wide.
     SIM_INSTRUCTIONS => "sim.instructions_retired",
     /// Cycles cores spent spinning or asleep at barriers and locks.

@@ -60,7 +60,8 @@ pub struct CmpSimulator {
     cores: Vec<Core>,
     memory: MemorySystem,
     sync: SyncManager,
-    /// Event-driven batching of pure-wait stretches (on by default).
+    /// Parking of cores in a pure wait (on by default); off, every live
+    /// core is stepped every cycle of its clock domain.
     fast_forward: bool,
     /// Per-core clock-domain ratios `(num, den)` relative to the base
     /// domain, present only for heterogeneous chips: core `i` is stepped
@@ -73,6 +74,118 @@ pub struct CmpSimulator {
 /// Domain ticks elapsed in `[0, cycle)` base cycles for ratio `num/den`.
 fn phase_ticks(cycle: u64, num: u32, den: u32) -> u64 {
     ((u128::from(cycle) * u128::from(num)) / u128::from(den)) as u64
+}
+
+/// Per-core parking state of one run.
+///
+/// After each step, a core whose [`Core::wait_horizon`] lies in the
+/// future is *parked*: the loop skips it until that cycle, or until a
+/// barrier release it may be waiting on, at the cost of one comparison
+/// per cycle. Its counters are caught up through [`Core::fast_forward`]
+/// when it wakes, and at every point where the loop reads core state
+/// (deadlock check, budget snapshot, sample window). A lock spinner
+/// needs no wake-up hook: its next retry is its horizon.
+struct Parking {
+    slots: Vec<Slot>,
+    /// Live cores currently parked.
+    parked: usize,
+    /// `SyncManager::releases` as of the last wake-up scan.
+    releases: u64,
+    /// Core cycles applied at catch-up (`sim.core_cycles_parked`).
+    caught_up: u64,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// First cycle the loop visits the core again: 0 while it acts,
+    /// its wait horizon while parked, `u64::MAX` once it is done.
+    wake: u64,
+    /// While parked: the first cycle its counters do not yet cover.
+    from: Option<u64>,
+}
+
+impl Parking {
+    fn new(n: usize, releases: u64) -> Self {
+        let active = Slot {
+            wake: 0,
+            from: None,
+        };
+        Self {
+            slots: vec![active; n],
+            parked: 0,
+            releases,
+            caught_up: 0,
+        }
+    }
+
+    fn park(&mut self, i: usize, from: u64, wake: u64) {
+        self.slots[i] = Slot {
+            wake,
+            from: Some(from),
+        };
+        self.parked += 1;
+    }
+
+    /// The cycle to jump to when all `remaining` live cores are parked
+    /// and none wakes before `cycle`: the earliest wake-up, clamped to
+    /// `boundary()`. `None` when some core must be visited at `cycle`.
+    fn all_parked_until(
+        &self,
+        remaining: usize,
+        cycle: u64,
+        boundary: impl FnOnce() -> u64,
+    ) -> Option<u64> {
+        if self.parked < remaining {
+            return None;
+        }
+        let wake = self.slots.iter().map(|s| s.wake).min().unwrap_or(u64::MAX);
+        let target = wake.min(boundary());
+        (target > cycle).then_some(target)
+    }
+
+    /// Wakes every parked core whose barrier has released: it is visited
+    /// from `cycle` on, which is this cycle for a core later in the
+    /// rotation and the next one for a core already passed.
+    fn wake_released(&mut self, cores: &[Core], sync: &SyncManager, cycle: u64) {
+        self.releases = sync.releases();
+        for (slot, core) in self.slots.iter_mut().zip(cores) {
+            if slot.from.is_some() && core.barrier_released(sync) {
+                slot.wake = slot.wake.min(cycle);
+            }
+        }
+    }
+
+    /// Applies core `i`'s parked steps in `[from, to)` — every base
+    /// cycle, or the ticks of its clock domain.
+    fn catch_up(
+        &mut self,
+        core: &mut Core,
+        i: usize,
+        from: u64,
+        to: u64,
+        domains: &Option<Vec<(u32, u32)>>,
+    ) {
+        let k = match domains {
+            None => to - from,
+            Some(d) => {
+                let (num, den) = d[i];
+                phase_ticks(to, num, den) - phase_ticks(from, num, den)
+            }
+        };
+        core.fast_forward(k);
+        self.caught_up += k;
+    }
+
+    /// Brings every parked core's counters up to `cycle`; they stay
+    /// parked.
+    fn catch_up_all(&mut self, cores: &mut [Core], cycle: u64, domains: &Option<Vec<(u32, u32)>>) {
+        for (i, core) in cores.iter_mut().enumerate() {
+            if let Some(from) = self.slots[i].from {
+                self.catch_up(core, i, from, cycle, domains);
+                self.slots[i].from = Some(cycle);
+            }
+        }
+    }
 }
 
 impl CmpSimulator {
@@ -198,11 +311,12 @@ impl CmpSimulator {
         }
     }
 
-    /// Enables or disables the event-driven fast-forward that
-    /// batch-advances through stretches where every live core is in a
-    /// pure wait (stalls, spin loops between retries, sleep). On by
-    /// default; results are identical either way — the stepped path is
-    /// kept as the reference the `fast-forward-identity` oracle in
+    /// Enables or disables core parking: a core in a pure wait (stalls,
+    /// spin loops between retries, sleep) is skipped until its wait ends
+    /// and its counters are caught up in closed form, and when every
+    /// live core is parked the clock jumps to the earliest wake-up. On
+    /// by default; results are identical either way — the stepped loop
+    /// is kept as the reference the `fast-forward-identity` oracle in
     /// `tlp-check` compares against.
     pub fn with_fast_forward(mut self, enabled: bool) -> Self {
         self.fast_forward = enabled;
@@ -276,6 +390,7 @@ impl CmpSimulator {
             self.cores.iter().map(|c| (c.progress(), 0)).collect();
         let mut next_check = DEADLOCK_CHECK_INTERVAL;
         let mut ff_cycles: u64 = 0;
+        let mut parking = Parking::new(n, self.sync.releases());
         while remaining > 0 {
             if self.config.faults.hang {
                 // Injected hang. Supervised (a cancellation token is
@@ -293,36 +408,17 @@ impl CmpSimulator {
                     continue;
                 }
                 cycle = budget.max(cycle.saturating_add(1));
-            } else if let Some(target) = self.fast_forward_target(
-                cycle,
-                next_check,
-                budget,
-                window_start.saturating_add(window),
-            ) {
-                // Every live core is in a pure wait: apply the stat
-                // deltas of `target - cycle` single steps in closed form.
-                // The target is clamped to every boundary the stepped
-                // loop inspects, so the checks below fire at exactly the
-                // same cycles either way.
-                let k = target - cycle;
-                match &self.domains {
-                    None => {
-                        for core in &mut self.cores {
-                            core.fast_forward(k);
-                        }
-                    }
-                    Some(domains) => {
-                        // Each gated core advances by its own tick count
-                        // over [cycle, target) — exactly the steps the
-                        // stepped loop would have granted it.
-                        for (core, &(num, den)) in self.cores.iter_mut().zip(domains) {
-                            let ticks =
-                                phase_ticks(target, num, den) - phase_ticks(cycle, num, den);
-                            core.fast_forward(ticks);
-                        }
-                    }
-                }
-                ff_cycles += k;
+            } else if let Some(target) = parking.all_parked_until(remaining, cycle, || {
+                next_check
+                    .min(budget)
+                    .min(window_start.saturating_add(window))
+            }) {
+                // Every live core is parked, so no core acts before the
+                // earliest wake-up: jump the clock there. The target is
+                // clamped to every boundary the stepped loop inspects,
+                // so the checks below fire at exactly the same cycles
+                // either way; parked counters catch up lazily.
+                ff_cycles += target - cycle;
                 cycle = target;
             } else {
                 // Rotate the service order so no core gets structural bus
@@ -330,12 +426,27 @@ impl CmpSimulator {
                 let start = (cycle as usize) % n;
                 for k in 0..n {
                     let i = (start + k) % n;
-                    if self.cores[i].done() || !self.domain_ticks(i, cycle) {
+                    if cycle < parking.slots[i].wake || !self.domain_ticks(i, cycle) {
                         continue;
                     }
+                    if let Some(from) = parking.slots[i].from.take() {
+                        parking.parked -= 1;
+                        parking.catch_up(&mut self.cores[i], i, from, cycle, &self.domains);
+                    }
                     self.cores[i].step(cycle, &mut self.memory, &mut self.sync);
+                    if parking.parked > 0 && self.sync.releases() != parking.releases {
+                        parking.wake_released(&self.cores, &self.sync, cycle);
+                    }
+                    let core = &self.cores[i];
+                    if core.done() {
+                        parking.slots[i].wake = u64::MAX;
+                        remaining -= 1;
+                    } else if self.fast_forward {
+                        if let Some(horizon) = core.wait_horizon(cycle + 1, &self.sync) {
+                            parking.park(i, cycle + 1, horizon);
+                        }
+                    }
                 }
-                remaining = self.cores.iter().filter(|c| !c.done()).count();
                 cycle += 1;
             }
             if cycle >= next_check {
@@ -346,6 +457,7 @@ impl CmpSimulator {
                 if tlp_obs::cancel::cancelled() {
                     return Err(SimError::DeadlineExceeded { cycle });
                 }
+                parking.catch_up_all(&mut self.cores, cycle, &self.domains);
                 let mut any_advanced = false;
                 for (core, slot) in self.cores.iter().zip(&mut last_progress) {
                     let p = core.progress();
@@ -364,6 +476,7 @@ impl CmpSimulator {
                 }
             }
             if cycle >= budget && remaining > 0 {
+                parking.catch_up_all(&mut self.cores, cycle, &self.domains);
                 let stuck = self.snapshot(cycle, &last_progress);
                 let all_waiting = stuck
                     .iter()
@@ -387,9 +500,11 @@ impl CmpSimulator {
                 });
             }
             // `>=` rather than `==`: the boundary can only be hit exactly
-            // (fast-forward clamps to it, stepping advances by 1), but an
-            // overshoot bug here would silently merge windows forever.
+            // (the all-parked jump clamps to it, stepping advances by 1),
+            // but an overshoot bug here would silently merge windows
+            // forever.
             if cycle - window_start >= window || (remaining == 0 && cycle > window_start) {
+                parking.catch_up_all(&mut self.cores, cycle, &self.domains);
                 let snapshot: Vec<_> = self.cores.iter().map(|c| *c.stats()).collect();
                 windows.push(SampleWindow {
                     start_cycle: window_start,
@@ -404,6 +519,8 @@ impl CmpSimulator {
                 window_start = cycle;
             }
         }
+        // A parked core is live, so a finished run has none left.
+        debug_assert_eq!(parking.parked, 0);
 
         // Request records in core-index order (each core's records are
         // already in completion order) — deterministic for a fixed seed.
@@ -432,6 +549,7 @@ impl CmpSimulator {
             metrics::SIM_RUNS.incr();
             metrics::SIM_CYCLES_RETIRED.add(result.cycles);
             metrics::SIM_CYCLES_FAST_FORWARDED.add(ff_cycles);
+            metrics::SIM_CORE_CYCLES_PARKED.add(parking.caught_up);
             metrics::HIST_SIM_RUN_CYCLES.record(result.cycles);
             let mut instructions = 0u64;
             let mut stall = 0u64;
@@ -451,36 +569,6 @@ impl CmpSimulator {
             }
         }
         Ok((result, windows))
-    }
-
-    /// If every live core is in a pure wait (see [`Core::wait_horizon`]),
-    /// the cycle to batch-advance to: the earliest per-core event,
-    /// clamped to the next deadlock-check/budget/window boundary so those
-    /// fire at exactly the cycles the stepped loop would observe them.
-    /// `None` when some core must actually be stepped (or fast-forward is
-    /// disabled).
-    fn fast_forward_target(
-        &self,
-        cycle: u64,
-        next_check: u64,
-        budget: u64,
-        window_end: u64,
-    ) -> Option<u64> {
-        if !self.fast_forward {
-            return None;
-        }
-        let mut event = u64::MAX;
-        for core in &self.cores {
-            if core.done() {
-                continue;
-            }
-            event = event.min(core.wait_horizon(cycle, &self.sync)?);
-        }
-        let target = event.min(next_check).min(budget).min(window_end);
-        // The loop invariants put every boundary strictly ahead of
-        // `cycle`; the guard is belt-and-braces against a zero-length
-        // batch looping forever.
-        (target > cycle).then_some(target)
     }
 
     /// Per-core stuck snapshot for error reports.
@@ -911,6 +999,188 @@ mod tests {
             .try_run(3_000)
             .unwrap_err();
         assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
+    }
+
+    /// Runs `mk()` with parking and fully stepped, requires the results,
+    /// sampled windows and errors to be `Debug`-identical, and returns
+    /// the parked run's `sim.core_cycles_parked` (0 for a failed run,
+    /// which records no run metrics).
+    fn assert_parking_identical(mk: impl Fn() -> CmpSimulator, window: u64, budget: u64) -> u64 {
+        let (parked, trace) = tlp_obs::capture(|| mk().try_run_sampled(window, budget));
+        let stepped = mk()
+            .with_fast_forward(false)
+            .try_run_sampled(window, budget);
+        assert_eq!(format!("{parked:?}"), format!("{stepped:?}"));
+        trace.counter("sim.core_cycles_parked").unwrap_or(0)
+    }
+
+    #[test]
+    fn parked_waiter_sees_a_release_from_either_side_of_the_rotation() {
+        // The releaser's compute length moves the release cycle one
+        // cycle at a time, so the rotation puts it alternately before
+        // the parked waiters (they must wake in the same cycle) and
+        // after them (they wake in the next one).
+        for extra in 0..8u32 {
+            let mk = || {
+                let waiter = |t: u64| {
+                    boxed(vec![
+                        Op::Int { count: 40 },
+                        Op::Barrier { id: 0 },
+                        Op::Store {
+                            addr: 0x8000 + t * 64,
+                        },
+                        Op::Barrier { id: 1 },
+                    ])
+                };
+                let releaser = boxed(vec![
+                    Op::Int {
+                        count: 4_000 + 4 * extra,
+                    },
+                    Op::Barrier { id: 0 },
+                    Op::Barrier { id: 1 },
+                ]);
+                CmpSimulator::new(CmpConfig::ispass05(4), vec![waiter(0), releaser, waiter(2)])
+            };
+            let parked = assert_parking_identical(mk, u64::MAX, 1_000_000);
+            assert!(parked > 1_500, "extra {extra}: parked only {parked}");
+        }
+    }
+
+    #[test]
+    fn parking_matches_stepping_when_a_lock_is_handed_between_spinners() {
+        let mk = || {
+            let worker = |t: u64| {
+                let mut ops = Vec::new();
+                for round in 0..4u64 {
+                    ops.push(Op::Lock { id: 0 });
+                    ops.push(Op::Int { count: 300 });
+                    ops.push(Op::Load {
+                        addr: 0x40_0000 + (t * 4 + round) * 4096,
+                    });
+                    ops.push(Op::Unlock { id: 0 });
+                }
+                boxed(ops)
+            };
+            CmpSimulator::new(CmpConfig::ispass05(4), (0..4).map(worker).collect())
+        };
+        assert!(assert_parking_identical(mk, 512, 10_000_000) > 1_000);
+    }
+
+    #[test]
+    fn parking_matches_stepping_through_thrifty_sleep() {
+        let mk = || {
+            let mut cfg = CmpConfig::ispass05(3);
+            cfg.core.sleep = crate::config::SleepPolicy {
+                enabled: true,
+                after_spin_cycles: 64,
+                wakeup_penalty: 20,
+            };
+            let mk_thread = |t: u64| {
+                boxed(vec![
+                    Op::Int {
+                        count: 200 + 9_000 * t as u32,
+                    },
+                    Op::Barrier { id: 0 },
+                    Op::Int { count: 100 },
+                    Op::Barrier { id: 1 },
+                ])
+            };
+            CmpSimulator::new(cfg, (0..3).map(mk_thread).collect())
+        };
+        let (r, _) = mk().run_sampled(u64::MAX);
+        assert!(r.cores[0].sleep_cycles > 1_000, "the waiter must sleep");
+        assert!(assert_parking_identical(mk, 256, 10_000_000) > 1_000);
+    }
+
+    #[test]
+    fn parking_matches_stepping_on_a_clock_domain_chip() {
+        use crate::spec::ChipSpec;
+        let spec = ChipSpec::big_little(2, 2);
+        let mk = || {
+            let progs: Vec<_> = (0..4u64)
+                .map(|t| {
+                    boxed(vec![
+                        Op::Int {
+                            count: 100 + 3_000 * t as u32,
+                        },
+                        Op::Load {
+                            addr: 0x40_0000 + t * 4096,
+                        },
+                        Op::Barrier { id: 0 },
+                        Op::Lock { id: 0 },
+                        Op::Int { count: 200 },
+                        Op::Unlock { id: 0 },
+                        Op::Barrier { id: 1 },
+                    ])
+                })
+                .collect();
+            CmpSimulator::from_spec(&spec, progs)
+        };
+        assert!(assert_parking_identical(mk, 7, 10_000_000) > 1_000);
+    }
+
+    #[test]
+    fn parking_matches_stepping_with_a_seven_cycle_window() {
+        assert!(assert_parking_identical(wait_heavy_sim, 7, 10_000_000) > 10_000);
+    }
+
+    #[test]
+    fn parking_matches_stepping_on_deadlock_and_budget_errors() {
+        // A lost arrival deadlocks the gang while every waiter is parked.
+        let deadlocked = || {
+            let mut cfg = CmpConfig::ispass05(4);
+            cfg.faults.drop_barrier_arrival = Some((0, 2));
+            CmpSimulator::new(
+                cfg,
+                (0..3u64)
+                    .map(|t| {
+                        boxed(vec![
+                            Op::Int {
+                                count: 100 + 500 * t as u32,
+                            },
+                            Op::Barrier { id: 0 },
+                        ])
+                    })
+                    .collect(),
+            )
+        };
+        assert_parking_identical(deadlocked, 1_000, 10_000_000);
+        let err = deadlocked().try_run(10_000_000).unwrap_err();
+        assert!(matches!(err, SimError::Deadlock(_)), "{err}");
+        // Budgets that expire while cores are parked, mid-stall and
+        // mid-spin, snapshot the same counters as the stepped loop.
+        for budget in [333, 3_000, 20_001, 40_123] {
+            assert_parking_identical(wait_heavy_sim, 100, budget);
+        }
+        // Mid-spin, between deadlock checks and far from any window
+        // edge: the snapshot must count the parked spinner's instructions.
+        assert_parking_identical(unbalanced_pair, u64::MAX, 10_000);
+    }
+
+    /// One thread reaches the barrier at once and spins ~25k cycles
+    /// while the other computes.
+    fn unbalanced_pair() -> CmpSimulator {
+        CmpSimulator::new(
+            CmpConfig::ispass05(2),
+            vec![
+                boxed(vec![Op::Int { count: 100 }, Op::Barrier { id: 1 }]),
+                boxed(vec![Op::Int { count: 100_000 }, Op::Barrier { id: 1 }]),
+            ],
+        )
+    }
+
+    #[test]
+    fn one_waiting_core_parks_while_another_computes() {
+        // No cycle is all-parked, but the waiter's spin is skipped and
+        // caught up in closed form.
+        let mk = unbalanced_pair;
+        let ((), trace) = tlp_obs::capture(|| {
+            let _ = mk().run();
+        });
+        assert_eq!(trace.counter("sim.cycles_fast_forwarded"), Some(0));
+        let parked = trace.counter("sim.core_cycles_parked").unwrap_or(0);
+        assert!(parked > 24_000, "parked {parked}");
+        assert_parking_identical(mk, u64::MAX, MAX_CYCLES);
     }
 
     #[test]

@@ -158,11 +158,12 @@ impl Core {
     /// on its own", e.g. an unreleased barrier). Returns `None` when the
     /// next step must actually act.
     ///
-    /// This is the legality test for the simulator's fast-forward: while
-    /// *every* live core reports `Some`, stepping the chip is equivalent
-    /// to adding closed-form per-cycle deltas (see
-    /// [`fast_forward`](Core::fast_forward)), in any order, with no
-    /// cross-core interaction.
+    /// This is the legality test for parking a core in the simulator:
+    /// while a core reports `Some(h)`, its steps before `h` are
+    /// closed-form per-cycle deltas (see
+    /// [`fast_forward`](Core::fast_forward)) that neither read nor write
+    /// anything another core can observe. Only a barrier release can end
+    /// the wait earlier ([`barrier_released`](Core::barrier_released)).
     pub fn wait_horizon(&self, now: u64, sync: &SyncManager) -> Option<u64> {
         match self.state {
             CoreState::Ready => None,
@@ -193,6 +194,17 @@ impl Core {
                 }
             }
             CoreState::SpinLock { next_retry, .. } => (now < next_retry).then_some(next_retry),
+        }
+    }
+
+    /// Whether the core waits at a barrier, spinning or asleep, that has
+    /// released: the one external event that cuts a
+    /// [`wait_horizon`](Core::wait_horizon) short. A lock spinner needs
+    /// no such test, because it retries on its own clock.
+    pub fn barrier_released(&self, sync: &SyncManager) -> bool {
+        match self.state {
+            CoreState::AtBarrier(ticket) | CoreState::Asleep(ticket) => sync.released(ticket),
+            _ => false,
         }
     }
 

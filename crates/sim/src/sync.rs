@@ -40,6 +40,9 @@ pub struct SyncManager {
     n_threads: usize,
     barriers: HashMap<u32, BarrierState>,
     locks: HashMap<u32, Option<usize>>,
+    /// Barrier releases so far, over every barrier id: the wake-up
+    /// signal for cores the simulator has parked at a barrier.
+    releases: u64,
     /// Fault injection: drop the next arrival of `(barrier, thread)` —
     /// the thread receives a valid-looking ticket but is never counted,
     /// so the barrier can never release (models a lost arrival bug).
@@ -58,6 +61,7 @@ impl SyncManager {
             n_threads,
             barriers: HashMap::new(),
             locks: HashMap::new(),
+            releases: 0,
             drop_arrival: None,
         }
     }
@@ -94,6 +98,7 @@ impl SyncManager {
         if b.arrived.len() == n {
             b.arrived.clear();
             b.generation += 1;
+            self.releases += 1;
         }
         ticket
     }
@@ -103,6 +108,14 @@ impl SyncManager {
         self.barriers
             .get(&ticket.id)
             .is_none_or(|b| b.generation > ticket.generation)
+    }
+
+    /// Barrier releases so far. A change since the last look means some
+    /// barrier's generation advanced, so a core waiting on it may now
+    /// proceed; lock hand-offs do not count, because a spinner retries
+    /// on its own clock.
+    pub fn releases(&self) -> u64 {
+        self.releases
     }
 
     /// Attempts to acquire lock `id` for `thread`. Returns `true` on
@@ -176,6 +189,20 @@ mod tests {
         assert!(!s.released(b0));
         let b1 = s.arrive(1, 1);
         assert!(s.released(b0) && s.released(b1));
+    }
+
+    #[test]
+    fn release_counter_advances_once_per_release() {
+        let mut s = SyncManager::new(2);
+        s.arrive(1, 0);
+        assert_eq!(s.releases(), 0);
+        s.arrive(1, 1);
+        assert_eq!(s.releases(), 1);
+        s.arrive(2, 0);
+        s.arrive(2, 1);
+        assert!(s.try_acquire(0, 0));
+        s.release(0, 0);
+        assert_eq!(s.releases(), 2, "lock traffic is not a release");
     }
 
     #[test]

@@ -13,11 +13,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cmp_tlp::error::ExperimentError;
+use cmp_tlp::governor::Governor;
 use cmp_tlp::journal::{Journal, JournalError, JournalMode};
 use cmp_tlp::sweep::{Fault, FaultPlan, RetryPolicy, SweepReport, SweepSpec, WorkloadId};
 use cmp_tlp::ExperimentalChip;
 use tlp_sim::{ChipSpec, SimError};
 use tlp_tech::json::ToJson;
+use tlp_tech::units::Celsius;
+use tlp_tech::{DvfsTable, OperatingPoint};
 use tlp_workloads::{AppId, Scale};
 
 const SEED: u64 = 0xC8A5;
@@ -417,4 +420,114 @@ fn raised_interrupt_flag_stops_the_sweep_resumably() {
         .run()
         .unwrap();
     assert_eq!(report_bytes(&resumed).1, ref_json);
+}
+
+#[test]
+fn resumed_row_profiles_only_the_counts_its_unsettled_cells_need() {
+    let apps = vec![AppId::WaterNsq];
+    let counts = vec![1, 2, 4, 8];
+    let reference = chip()
+        .sweep()
+        .grid(spec(apps.clone(), counts.clone()))
+        .serial()
+        .run()
+        .unwrap();
+
+    // A journal that holds the row's cells at 1 and 2 cores only.
+    let journal = TempJournal::new("partial-row");
+    chip()
+        .sweep()
+        .grid(spec(apps.clone(), counts.clone()))
+        .serial()
+        .checkpoint(&journal.0)
+        .run()
+        .unwrap();
+    let text = std::fs::read_to_string(&journal.0).unwrap();
+    let kept: String = text
+        .split_inclusive('\n')
+        .enumerate()
+        .filter(|(i, line)| *i == 0 || line.contains("\"n\":1,") || line.contains("\"n\":2,"))
+        .map(|(_, line)| line)
+        .collect();
+    std::fs::write(&journal.0, kept).unwrap();
+
+    let (resumed, trace) = chip()
+        .sweep()
+        .grid(spec(apps, counts))
+        .threads(2)
+        .resume(&journal.0)
+        .run_traced()
+        .unwrap();
+    assert_eq!(report_bytes(&resumed), report_bytes(&reference));
+    assert_eq!(trace.counter("sweep.cells_resumed"), Some(2));
+    // The anchor's single-core run plus one profile run and one cell run
+    // for each of the two unsettled counts: the settled counts are not
+    // profiled again.
+    let mut profiled: Vec<&str> = trace
+        .spans_named("profile")
+        .map(|s| s.detail.as_str())
+        .collect();
+    profiled.sort_unstable();
+    assert_eq!(profiled, ["Water-Nsq@1", "Water-Nsq@4", "Water-Nsq@8"]);
+    assert_eq!(trace.counter("sim.runs"), Some(5));
+}
+
+/// A governor that never adjusts, but raises the sweep's interrupt flag
+/// the first time any cell consults it: a deterministic interrupt from
+/// inside the task graph.
+#[derive(Debug)]
+struct InterruptOnFirstCell(Arc<AtomicBool>);
+
+impl Governor for InterruptOnFirstCell {
+    fn name(&self) -> &'static str {
+        "interrupt-on-first-cell"
+    }
+
+    fn adjust(&self, _: &[Celsius], _: &DvfsTable, _: OperatingPoint) -> Option<OperatingPoint> {
+        self.0.store(true, Ordering::SeqCst);
+        None
+    }
+}
+
+#[test]
+fn interrupt_mid_graph_resumes_to_the_same_bytes() {
+    let apps = vec![AppId::WaterNsq, AppId::Fft];
+    let counts = vec![1, 2, 4, 8];
+    let reference = chip()
+        .sweep()
+        .grid(spec(apps.clone(), counts.clone()))
+        .serial()
+        .run()
+        .unwrap();
+
+    for threads in [1, 2] {
+        let journal = TempJournal::new("mid-graph");
+        let flag = Arc::new(AtomicBool::new(false));
+        let interrupting = chip().with_governor(Box::new(InterruptOnFirstCell(Arc::clone(&flag))));
+        let err = interrupting
+            .sweep()
+            .grid(spec(apps.clone(), counts.clone()))
+            .threads(threads)
+            .checkpoint(&journal.0)
+            .interrupt(flag)
+            .run()
+            .unwrap_err();
+        let ExperimentError::Interrupted(info) = err else {
+            panic!("expected an interrupt, got: {err}");
+        };
+        assert_eq!(info.total_cells, 8);
+        assert!(
+            (1..8).contains(&info.completed_cells),
+            "{threads} thread(s): {info}"
+        );
+
+        let resumed = chip()
+            .sweep()
+            .grid(spec(apps.clone(), counts.clone()))
+            .threads(threads)
+            .resume(&journal.0)
+            .run()
+            .unwrap();
+        assert_eq!(report_bytes(&resumed), report_bytes(&reference));
+    }
 }

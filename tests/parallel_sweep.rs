@@ -222,3 +222,34 @@ fn timing_reflects_requested_threads() {
     assert!(r.timing.cell_seconds.iter().all(|&s| s >= 0.0));
     assert!(r.timing.summary().contains("3 thread(s)"));
 }
+
+#[test]
+fn mixed_grid_task_graph_is_byte_identical_at_1_2_and_8_threads() {
+    // Two batch rows (one profile task per count above 1, each feeding
+    // its cell once the row's anchor is in), one server row (its anchor
+    // spawns every cell) and a count FFT cannot run: every scheduling
+    // of the graph must render the same bytes.
+    let chip = chip();
+    let spec = SweepSpec {
+        server_loads: vec![5_000_000],
+        apps: vec![AppId::WaterNsq, AppId::Fft],
+        core_counts: vec![1, 2, 3, 4],
+        scale: Scale::Test,
+        seed: 7,
+    };
+    let policy = RetryPolicy::default();
+    let plan = FaultPlan::none();
+    let reports: Vec<SweepReport> = [1, 2, 8]
+        .into_iter()
+        .map(|threads| run(&chip, &spec, &policy, &plan, threads))
+        .collect();
+    let serial = &reports[0];
+    assert_eq!(serial.cells.len(), 12);
+    let failed: Vec<String> = serial.failed().map(|(c, _, _)| c.to_string()).collect();
+    assert_eq!(failed, ["FFT@3"], "{}", serial.summary());
+    let json = serial.to_json().to_string_pretty();
+    for report in &reports[1..] {
+        assert_eq!(format!("{:?}", serial.cells), format!("{:?}", report.cells));
+        assert_eq!(json, report.to_json().to_string_pretty());
+    }
+}

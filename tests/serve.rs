@@ -515,3 +515,45 @@ fn restart_preserves_completed_jobs_and_serves_their_reports() {
     assert_eq!(after.body, before.body, "report changed across restart");
     second.stop();
 }
+
+#[test]
+fn unrunnable_core_count_settles_its_job_and_frees_the_slot() {
+    // FFT runs only on power-of-two counts, and submission validation
+    // does not know that. The job must still reach a terminal state with
+    // a typed failure for that cell, and with one dispatch slot the next
+    // job only runs if that slot came back.
+    let dir = TempDir::new("unrunnable");
+    let mut config = test_config(&dir);
+    config.max_active_jobs = 1;
+    let server = Harness::start(config);
+    let addr = server.addr;
+
+    let submit = |counts: &str| {
+        let reply = post(
+            addr,
+            "/sweeps",
+            &format!(
+                "{{\"apps\":[\"fft\"],\"core_counts\":{counts},\"scale\":\"test\",\"seed\":{SEED}}}"
+            ),
+        );
+        assert_eq!(reply.status, 202, "submit failed: {}", reply.body);
+        job_id(&reply)
+    };
+    let bad = submit("[1,3]");
+    wait_for_state(addr, &bad, "completed", Duration::from_secs(120));
+    let report = get(addr, &format!("/sweeps/{bad}/report"));
+    assert_eq!(report.status, 200);
+    assert!(
+        report
+            .body
+            .contains("FFT runs only on power-of-two core counts, not on 3"),
+        "{}",
+        report.body
+    );
+
+    let good = submit("[1,2]");
+    wait_for_state(addr, &good, "completed", Duration::from_secs(120));
+    let outcome = server.stop();
+    assert_eq!(outcome.jobs_completed, 2);
+    assert_eq!(outcome.jobs_unfinished, 0);
+}

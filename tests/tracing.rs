@@ -61,6 +61,28 @@ fn traced_span_tree_is_identical_for_any_thread_count() {
     assert_eq!(serial_trace.span_tree(), parallel_trace.span_tree());
     // The counted work is identical too, not just the span shape.
     assert_eq!(serial_trace.counters, parallel_trace.counters);
+    // One profile run per (app, count): n = 1 inside its row's
+    // `sweep.prep` anchor, every other count a task of its own.
+    let tree = serial_trace.span_tree();
+    let profiles: Vec<&str> = tree
+        .lines()
+        .filter(|l| l.trim_start().starts_with("profile"))
+        .collect();
+    assert_eq!(
+        profiles,
+        [
+            "profile [FFT@2]",
+            "profile [Water-Nsq@2]",
+            "  profile [FFT@1]",
+            "  profile [Water-Nsq@1]",
+        ],
+        "{tree}"
+    );
+    assert_eq!(
+        serial_trace.counter("sim.runs"),
+        Some(6),
+        "4 profile + 2 cell runs"
+    );
 }
 
 /// The Chrome export of a real traced sweep parses with the in-tree
