@@ -156,3 +156,20 @@ fn sweep_report_round_trips() {
     assert_eq!(r.failed().count(), 1);
     assert_roundtrip_and_golden("sweep_report", &r.to_json());
 }
+
+#[test]
+fn sweep_report_wide_round_trips() {
+    // Every core count up to the full chip, so the snapshot pins the
+    // per-core tile sums and the clock-domain stepping at n = 12 and 16,
+    // where a reordered floating-point sum would first show.
+    let spec = SweepSpec {
+        apps: vec![AppId::WaterNsq],
+        server_loads: vec![2_000_000],
+        core_counts: vec![1, 2, 4, 8, 12, 16],
+        scale: Scale::Test,
+        seed: SEED,
+    };
+    let r = chip().sweep().grid(spec).serial().run().expect("sweep");
+    assert_eq!(r.failed().count(), 0);
+    assert_roundtrip_and_golden("sweep_report_wide", &r.to_json());
+}
