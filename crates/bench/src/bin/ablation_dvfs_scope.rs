@@ -13,7 +13,7 @@ use cmp_tlp::profiling;
 use tlp_bench::{scale_from_args, SEED};
 use tlp_sim::{CmpConfig, CmpSimulator};
 use tlp_tech::units::{Hertz, Seconds};
-use tlp_tech::{DvfsTable, Technology};
+use tlp_tech::Technology;
 use tlp_workloads::gang;
 
 fn main() {
@@ -22,8 +22,7 @@ fn main() {
     let chip = ExperimentalChip::from_spec(ChipSpec::ispass05(16), tech.clone());
     let app = AppId::Ocean;
     let profile = profiling::profile(&chip, app, &[1, 2, 4, 8], scale, SEED);
-    let table = DvfsTable::for_technology(&tech, Hertz::from_mhz(200.0), Hertz::from_mhz(200.0))
-        .expect("valid table");
+    let table = chip.dvfs();
     let base_time = profile.baseline.execution_time();
 
     println!("Ablation: DVFS scope, {app} Scenario I actual speedups\n");

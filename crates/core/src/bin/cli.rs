@@ -32,7 +32,7 @@ use cmp_tlp::{checks, report, scenario1, scenario2};
 use tlp_sim::{ChipSpec, CmpConfig};
 use tlp_tech::json::{Json, ToJson};
 use tlp_tech::units::Hertz;
-use tlp_tech::{DvfsTable, OperatingPoint, Technology};
+use tlp_tech::{OperatingPoint, Technology};
 use tlp_workloads::gang;
 
 /// A CLI failure: the full causal chain, outermost message first.
@@ -427,10 +427,10 @@ fn run_command(
             let ghz: f64 = rest[1].parse().map_err(|_| "bad frequency")?;
             let chip = ExperimentalChip::from_spec(ChipSpec::ispass05(16), tech.clone());
             let f = Hertz::from_ghz(ghz);
-            let table =
-                DvfsTable::for_technology(&tech, Hertz::from_mhz(200.0), Hertz::from_mhz(200.0))
-                    .map_err(|e| CliError::chained(&e))?;
-            let v = table.voltage_for(f).map_err(|e| CliError::chained(&e))?;
+            let v = chip
+                .dvfs()
+                .voltage_for(f)
+                .map_err(|e| CliError::chained(&e))?;
             let op = OperatingPoint {
                 frequency: f,
                 voltage: v,

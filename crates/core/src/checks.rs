@@ -19,11 +19,11 @@
 //!   report byte-identical to the uninterrupted run, injected faults
 //!   and all.
 //!
-//! - [`hetero_homogeneous_identity`] — the `ChipSpec` migration
-//!   invariant: a sweep on the homogeneous `ChipSpec::ispass05(16)`
-//!   must be byte-identical (report and journal) to the deprecated
-//!   `CmpConfig::ispass05(16)` construction, with no chip tag leaking
-//!   into the journal header.
+//! - [`hetero_homogeneous_identity`] — the one-code-path invariant: a
+//!   sweep on the one-class `ChipSpec::ispass05(16)` must be
+//!   byte-identical, cell for cell and journal record for record, to the
+//!   same hardware described as two identical 8-core classes, and its
+//!   journal header must carry no chip tag.
 //!
 //! - [`serve_http_parser`] — the daemon's HTTP request parser, fed
 //!   truncated, bit-flipped, and garbage-extended requests, must never
@@ -43,7 +43,7 @@ use std::time::Duration;
 use tlp_analytic::{AnalyticChip, AnalyticError, Scenario1};
 use tlp_check::prop::Property;
 use tlp_check::{gen, shrink};
-use tlp_sim::{ChipSpec, CmpConfig};
+use tlp_sim::{ChipSpec, CoreClass};
 use tlp_tech::json::ToJson;
 use tlp_tech::rng::SplitMix64;
 use tlp_tech::Technology;
@@ -55,7 +55,7 @@ use crate::serve::jobs::JobRecord;
 use crate::serve::router;
 use crate::shard::chaos::run_chaotic;
 use crate::shard::{Clock as ShardClock, ShardBoard};
-use crate::sweep::{Fault, FaultPlan, RetryPolicy, SweepSpec, WorkloadId};
+use crate::sweep::{Fault, FaultPlan, RetryPolicy, SweepReport, SweepSpec, WorkloadId};
 use crate::{profiling, scenario1};
 
 /// The one experimental chip every oracle case shares (calibration is
@@ -67,14 +67,25 @@ fn shared_chip() -> &'static ExperimentalChip {
     })
 }
 
-/// The same chip built through the deprecated pre-`ChipSpec`
-/// constructor — the migration reference for
-/// [`hetero_homogeneous_identity`]. Deliberately pinned to the old
-/// entry point so the oracle keeps watching it.
-fn shared_legacy_chip() -> &'static ExperimentalChip {
+/// The [`shared_chip`] hardware described as two identical base-domain
+/// classes of 8 cores — the reference for [`hetero_homogeneous_identity`].
+/// At every count the oracle draws, the two classes' tile areas sum to
+/// exactly the one-class chip's, so any difference is a behaviour that
+/// depends on the class layout.
+fn shared_split_chip() -> &'static ExperimentalChip {
     static CHIP: OnceLock<ExperimentalChip> = OnceLock::new();
-    #[allow(deprecated)]
-    CHIP.get_or_init(|| ExperimentalChip::new(CmpConfig::ispass05(16), Technology::itrs_65nm()))
+    CHIP.get_or_init(|| {
+        let one_class = ChipSpec::ispass05(16);
+        let half = CoreClass {
+            count: 8,
+            ..one_class.classes[0].clone()
+        };
+        let split = ChipSpec {
+            classes: vec![half.clone(), half],
+            ..one_class
+        };
+        ExperimentalChip::from_spec(split, Technology::itrs_65nm())
+    })
 }
 
 fn shared_analytic_chip() -> &'static AnalyticChip {
@@ -117,13 +128,34 @@ pub struct SweepCase {
 }
 
 fn gen_sweep_case(rng: &mut SplitMix64) -> SweepCase {
+    gen_sweep_case_over(rng, |rng| gen::prefix(rng, &[1usize, 2, 4], 1))
+}
+
+/// Core counts beyond 1 the split-chip oracle draws from: counts at
+/// which the 8 + 8 split's tile areas sum exactly.
+const SPLIT_COUNTS: [usize; 5] = [2, 4, 8, 12, 16];
+
+/// A sweep case for [`hetero_homogeneous_identity`]: 1 plus a non-empty
+/// subset of [`SPLIT_COUNTS`], so most cases cross the class boundary.
+fn gen_split_case(rng: &mut SplitMix64) -> SweepCase {
+    gen_sweep_case_over(rng, |rng| {
+        let mut counts = vec![1];
+        counts.extend(gen::subset(rng, &SPLIT_COUNTS, 1, SPLIT_COUNTS.len()));
+        counts
+    })
+}
+
+fn gen_sweep_case_over(
+    rng: &mut SplitMix64,
+    counts: impl FnOnce(&mut SplitMix64) -> Vec<usize>,
+) -> SweepCase {
     let apps = gen::subset(rng, &SWEEP_APPS, 1, 2);
     let server_loads = if rng.gen_range_usize(0..3) == 0 {
         vec![gen::pick(rng, &SWEEP_SERVER_LOADS)]
     } else {
         Vec::new()
     };
-    let core_counts = gen::prefix(rng, &[1usize, 2, 4], 1);
+    let core_counts = counts(rng);
     let seed = rng.next_u64() & 0xFFFF;
     let threads = rng.gen_range_usize(2..7);
     let n_faults = rng.gen_range_usize(0..3);
@@ -427,7 +459,7 @@ fn hetero_identity_check(c: &SweepCase) -> Result<(), String> {
         plan = plan.inject_work(WorkloadId::App(app), n, fault);
     }
     let policy = RetryPolicy::default();
-    let run = |chip: &ExperimentalChip| -> Result<(String, String, String), String> {
+    let run = |chip: &ExperimentalChip| -> Result<(SweepReport, String), String> {
         let journal = scratch_journal(c.seed);
         let path = journal.0.clone();
         let r = chip
@@ -441,47 +473,53 @@ fn hetero_identity_check(c: &SweepCase) -> Result<(), String> {
             .map_err(|e| format!("sweep refused to start: {e}"))?;
         let journal_text =
             std::fs::read_to_string(&path).map_err(|e| format!("cannot read the journal: {e}"))?;
-        Ok((
-            format!("{:?}", r.cells),
-            r.to_json().to_string_pretty(),
-            journal_text,
-        ))
+        Ok((r, journal_text))
     };
-    let (legacy_dbg, legacy_json, legacy_journal) = run(shared_legacy_chip())?;
-    let (spec_dbg, spec_json, spec_journal) = run(shared_chip())?;
-    if spec_dbg != legacy_dbg {
+    let (one, one_journal) = run(shared_chip())?;
+    let (mut split, split_journal) = run(shared_split_chip())?;
+    // A one-class chip must not stamp a chip tag anywhere — that is what
+    // keeps old journals resumable and old JSON diffs quiet.
+    if one.chip.is_some() || one_journal.contains("\"chip\"") {
+        return Err("one-class report or journal header carries a chip tag".into());
+    }
+    // The split chip is tagged with its two classes; nothing else may
+    // differ.
+    split.chip = None;
+    let (one_dbg, split_dbg) = (format!("{:?}", one.cells), format!("{:?}", split.cells));
+    if one_dbg != split_dbg {
         return Err(format!(
-            "ChipSpec and legacy reports differ (Debug):\nlegacy: {legacy_dbg}\nspec:   {spec_dbg}"
+            "one-class and split reports differ (Debug):\none:   {one_dbg}\nsplit: {split_dbg}"
         ));
     }
-    if spec_json != legacy_json {
+    let one_json = one.to_json().to_string_pretty();
+    let split_json = split.to_json().to_string_pretty();
+    if one_json != split_json {
         return Err(format!(
-            "ChipSpec and legacy JSON differ:\nlegacy:\n{legacy_json}\nspec:\n{spec_json}"
+            "one-class and split JSON differ:\none:\n{one_json}\nsplit:\n{split_json}"
         ));
     }
-    if spec_journal != legacy_journal {
+    // Past the header (whose fingerprint covers the chip tag), every
+    // journal record must match.
+    let one_records: Vec<_> = one_journal.lines().skip(1).collect();
+    let split_records: Vec<_> = split_journal.lines().skip(1).collect();
+    if one_records != split_records {
         return Err(format!(
-            "ChipSpec and legacy journals differ:\nlegacy:\n{legacy_journal}\nspec:\n{spec_journal}"
+            "one-class and split journal records differ:\none:\n{one_journal}\nsplit:\n{split_journal}"
         ));
-    }
-    // A homogeneous chip must not stamp a class tag anywhere — that is
-    // what keeps old journals resumable and old JSON diffs quiet.
-    if spec_journal.contains("\"chip\"") {
-        return Err("homogeneous journal header carries a chip tag".into());
     }
     Ok(())
 }
 
-/// Oracle 12: the homogeneous migration invariant. A sweep on
+/// Oracle 12: the one-code-path invariant. A sweep on the one-class
 /// `ChipSpec::ispass05(16)` must be byte-identical — report `Debug`,
-/// report JSON, and every journal record — to the same sweep on the
-/// deprecated `CmpConfig::ispass05(16)` construction, and its journal
-/// must carry no heterogeneity tag.
+/// report JSON, and every journal record past the header — to the same
+/// sweep on the same hardware split into two identical 8-core classes,
+/// and its journal must carry no chip tag.
 pub fn hetero_homogeneous_identity() -> Property {
     Property::new(
         "hetero-homogeneous-identity",
-        "a homogeneous ChipSpec sweep matches the legacy CmpConfig path byte-for-byte",
-        gen_sweep_case,
+        "a one-class chip sweep matches the same hardware split into two classes byte-for-byte",
+        gen_split_case,
         shrink_sweep_case,
         hetero_identity_check,
     )

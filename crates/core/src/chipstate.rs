@@ -2,13 +2,16 @@
 //! way the paper's tool flow glues SESC-style simulation, Wattch, and
 //! HotSpot (Section 3.3).
 //!
-//! [`ExperimentalChip`] owns the calibrated power calculator, the static
-//! model, and a per-core-tile thermal model. Given a [`SimResult`] it
+//! [`ExperimentalChip`] owns, for each core class of its [`ChipSpec`], a
+//! calibrated power calculator and a per-core-tile thermal model, plus
+//! the static model and the DVFS ladder. Given a [`SimResult`] it
 //! produces a [`ChipMeasurement`] — total dynamic/static power, average
 //! active-core temperature, and core power density — with the
-//! power↔temperature fixpoint solved per tile.
+//! power↔temperature fixpoint solved per tile. The paper's homogeneous
+//! chip is one class at the base clock and takes the same code path as a
+//! big/little mix.
 
-use tlp_power::{Calibration, PowerCalculator, StaticPower};
+use tlp_power::{Calibration, DynamicBreakdown, PowerCalculator, PowerError, StaticPower};
 use tlp_sim::{ChipSpec, CmpConfig, CmpSimulator, SimFaults, SimResult};
 use tlp_tech::units::{Celsius, Hertz, PowerDensity, Volts, Watts};
 use tlp_tech::{DvfsTable, OperatingPoint, Technology};
@@ -90,112 +93,73 @@ impl ChipMeasurement {
     }
 }
 
-/// Per-class power/thermal state for heterogeneous chips. `None` on the
-/// homogeneous path, which therefore pays nothing for the machinery.
-struct HeteroState {
+/// The calibrated experimental platform.
+pub struct ExperimentalChip {
+    spec: ChipSpec,
+    /// Class 0's view of the chip (see [`ChipSpec::base_config`]).
+    config: CmpConfig,
+    tech: Technology,
+    statics: StaticPower,
+    calibration: Calibration,
     /// One calibrated calculator per class (all share the §3.3 renorm).
     class_power: Vec<PowerCalculator>,
     /// One calibrated single-core tile per class.
     class_tiles: Vec<ThermalModel>,
     /// Per-core tile area of each class, mm².
     class_areas: Vec<f64>,
-    /// DVFS ladder used to pick each non-base class's supply rail.
+    /// The 200 MHz-step DVFS ladder of the technology.
     dvfs: DvfsTable,
-}
-
-/// The calibrated experimental platform.
-pub struct ExperimentalChip {
-    spec: ChipSpec,
-    config: CmpConfig,
-    tech: Technology,
-    power: PowerCalculator,
-    statics: StaticPower,
-    tile: ThermalModel,
-    tile_area_mm2: f64,
-    calibration: Calibration,
-    hetero: Option<HeteroState>,
     governor: Box<dyn Governor>,
 }
 
 impl ExperimentalChip {
-    /// Builds and calibrates the platform (paper §3.3):
+    /// Builds and calibrates the platform from a [`ChipSpec`] (paper
+    /// §3.3):
     ///
-    /// 1. Run the compute-intensive microbenchmark on one core at nominal
-    ///    V/f and measure raw Wattch dynamic power.
+    /// 1. Run the compute-intensive microbenchmark on one class-0 core
+    ///    at nominal V/f and measure raw Wattch dynamic power.
     /// 2. Renormalize so that equals the HotSpot-anchored `P_D1`.
-    /// 3. Calibrate the per-core-tile thermal package so a core at
-    ///    `P_D1 + P_S1(T_max)` equilibrates at `T_max`.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use ExperimentalChip::from_spec (wrap an existing config \
-                with tlp_sim::ChipSpec::from_config)"
-    )]
-    pub fn new(config: CmpConfig, tech: Technology) -> Self {
-        Self::from_spec(ChipSpec::from_config(&config), tech)
-    }
-
-    /// Builds and calibrates the platform from a [`ChipSpec`].
+    /// 3. Per class, build a power calculator for that class's pipeline
+    ///    (sharing the one renorm) and calibrate a single-core thermal
+    ///    tile so a core at `P_D1 + P_S1(T_max)` equilibrates at
+    ///    `T_max`. Tile areas apportion the die's core region by issue
+    ///    width (the area proxy of the heterogeneous floorplan).
     ///
-    /// A homogeneous spec (one class, base clock domain) takes the exact
-    /// legacy path — same calibration run, same single shared tile — so
-    /// its measurements are byte-identical to the deprecated
-    /// [`ExperimentalChip::new`]. A heterogeneous spec additionally
-    /// builds, per class: a power calculator for that class's pipeline
-    /// (sharing the one §3.3 renorm), a thermal tile whose area is
-    /// apportioned by issue width (the area proxy the heterogeneous
-    /// floorplan uses), and a supply rail picked off the DVFS ladder at
-    /// the class frequency.
+    /// Wrap an existing [`CmpConfig`] with [`ChipSpec::from_config`].
     ///
     /// # Panics
     ///
-    /// Panics (for heterogeneous specs only) if the technology cannot
-    /// produce a DVFS ladder — without one there are no per-class rails.
+    /// Panics if the technology cannot produce the 200 MHz-step DVFS
+    /// ladder (its nominal frequency is not above 200 MHz).
     pub fn from_spec(spec: ChipSpec, tech: Technology) -> Self {
-        // Calibration always runs on the base (class 0) configuration:
-        // for homogeneous specs that *is* the legacy config, and for
-        // heterogeneous ones core 0 is a class-0 core at base clock, so
-        // the §3.3 virus measures the same thing either way.
-        let config = spec.to_cmp_config().unwrap_or_else(|| spec.base_config());
+        // Calibration runs on class 0 at the base clock: core 0 is a
+        // class-0 core, and an all-little chip's class 0 would otherwise
+        // run the virus at half clock.
+        let config = spec.base_config();
+        let raw_power: Vec<PowerCalculator> = spec
+            .classes
+            .iter()
+            .map(|class| {
+                PowerCalculator::new(&CmpConfig {
+                    core: class.core,
+                    l1i: class.l1i,
+                    l1d: class.l1d,
+                    ..config.clone()
+                })
+            })
+            .collect();
         let raw_run = CmpSimulator::new(config.clone(), vec![power_virus(0, 1, 30_000)]).run();
-        let raw_power = PowerCalculator::new(&config)
-            .dynamic(&raw_run, tech.vdd_nominal())
-            .total();
-        let calibration = Calibration::derive(&tech, raw_power);
-        let power = PowerCalculator::new(&config).with_renorm(calibration.renorm);
+        let calibration = Calibration::derive(
+            &tech,
+            raw_power[0].dynamic(&raw_run, tech.vdd_nominal()).total(),
+        );
+        let class_power = raw_power
+            .into_iter()
+            .map(|calc| calc.with_renorm(calibration.renorm))
+            .collect();
         let statics = StaticPower::new(&tech);
 
-        let tile_area = DIE_EDGE_MM * DIE_EDGE_MM * CORE_REGION_FRAC / config.n_cores as f64;
-        let tile_edge = tile_area.sqrt();
-        let floorplan = Floorplan::new(Floorplan::ev6_core(
-            "core0", 0.0, 0.0, tile_edge, tile_edge, 0,
-        ));
         let p1 = tech.p_dynamic_core_nominal() + tech.p_static_core_at_tmax();
-        let tile =
-            ThermalModel::calibrated_active(floorplan, p1, 1, tech.t_max(), Celsius::new(45.0));
-
-        let hetero = if spec.is_homogeneous() {
-            None
-        } else {
-            Some(Self::hetero_state(&spec, &tech, calibration.renorm, p1))
-        };
-        Self {
-            spec,
-            config,
-            tech,
-            power,
-            statics,
-            tile,
-            tile_area_mm2: tile_area,
-            calibration,
-            hetero,
-            governor: Box::new(ChipWide),
-        }
-    }
-
-    /// Builds the per-class calculators, tiles, and rail ladder for a
-    /// heterogeneous spec.
-    fn hetero_state(spec: &ChipSpec, tech: &Technology, renorm: f64, p1: Watts) -> HeteroState {
-        let base = spec.base_config();
         let core_region = DIE_EDGE_MM * DIE_EDGE_MM * CORE_REGION_FRAC;
         // Issue width is the area proxy: a 2-wide core gets half the die
         // area of a 4-wide one, matching Floorplan::hetero_cmp.
@@ -204,18 +168,12 @@ impl ExperimentalChip {
             .iter()
             .map(|c| c.count as f64 * f64::from(c.core.issue_width))
             .sum();
-        let mut class_power = Vec::with_capacity(spec.classes.len());
         let mut class_tiles = Vec::with_capacity(spec.classes.len());
         let mut class_areas = Vec::with_capacity(spec.classes.len());
         for class in &spec.classes {
-            let cfg = CmpConfig {
-                core: class.core,
-                l1i: class.l1i,
-                l1d: class.l1d,
-                ..base.clone()
-            };
-            class_power.push(PowerCalculator::new(&cfg).with_renorm(renorm));
-            let area = core_region * f64::from(class.core.issue_width) / total_weight;
+            // Dividing the region by the class's share of the weight keeps
+            // a one-class chip's tile at exactly region / n.
+            let area = core_region / (total_weight / f64::from(class.core.issue_width));
             let edge = area.sqrt();
             let floorplan = Floorplan::new(Floorplan::ev6_core("core0", 0.0, 0.0, edge, edge, 0));
             class_tiles.push(ThermalModel::calibrated_active(
@@ -227,13 +185,19 @@ impl ExperimentalChip {
             ));
             class_areas.push(area);
         }
-        let dvfs = DvfsTable::for_technology(tech, Hertz::from_mhz(200.0), Hertz::from_mhz(200.0))
-            .expect("per-class rails need a DVFS ladder");
-        HeteroState {
+        let dvfs = DvfsTable::for_technology(&tech, Hertz::from_mhz(200.0), Hertz::from_mhz(200.0))
+            .expect("the DVFS ladder needs a nominal frequency above 200 MHz");
+        Self {
+            spec,
+            config,
+            tech,
+            statics,
+            calibration,
             class_power,
             class_tiles,
             class_areas,
             dvfs,
+            governor: Box::new(ChipWide),
         }
     }
 
@@ -261,11 +225,18 @@ impl ExperimentalChip {
         DIE_EDGE_MM * DIE_EDGE_MM * CORE_REGION_FRAC / self.spec.n_cores() as f64
     }
 
-    /// The representative chip configuration: the legacy [`CmpConfig`]
-    /// for homogeneous chips, class 0's view of the shared uncore for
-    /// heterogeneous ones (never used to simulate the latter).
+    /// Class 0's view of the chip ([`ChipSpec::base_config`]): the whole
+    /// chip when it has one base-domain class, otherwise class 0's
+    /// pipeline in front of the shared uncore with the chip's total core
+    /// count.
     pub fn config(&self) -> &CmpConfig {
         &self.config
+    }
+
+    /// The technology's DVFS ladder: 200 MHz steps from 200 MHz up to
+    /// the nominal frequency.
+    pub fn dvfs(&self) -> &DvfsTable {
+        &self.dvfs
     }
 
     /// The process technology.
@@ -278,9 +249,9 @@ impl ExperimentalChip {
         self.calibration
     }
 
-    /// The calibrated power calculator.
+    /// Class 0's calibrated power calculator.
     pub fn power_calculator(&self) -> &PowerCalculator {
-        &self.power
+        &self.class_power[0]
     }
 
     /// The static-power model.
@@ -288,9 +259,9 @@ impl ExperimentalChip {
         &self.statics
     }
 
-    /// The per-core-tile thermal model.
+    /// Class 0's per-core-tile thermal model.
     pub fn tile_thermal(&self) -> &ThermalModel {
-        &self.tile
+        &self.class_tiles[0]
     }
 
     /// Runs a gang of thread programs at an operating point.
@@ -320,13 +291,7 @@ impl ExperimentalChip {
         programs: Vec<Box<dyn tlp_sim::op::ThreadProgram>>,
         op: OperatingPoint,
     ) -> Result<SimResult, ExperimentError> {
-        if self.hetero.is_none() {
-            let cfg = self.config.at_operating_point(op);
-            Ok(CmpSimulator::new(cfg, programs).try_run(tlp_sim::chip::MAX_CYCLES)?)
-        } else {
-            let spec = self.spec.at_operating_point(op);
-            Ok(CmpSimulator::from_spec(&spec, programs).try_run(tlp_sim::chip::MAX_CYCLES)?)
-        }
+        self.try_run_with(programs, op, self.spec.faults)
     }
 
     /// [`ExperimentalChip::try_run`] with per-run simulation-stage fault
@@ -343,24 +308,20 @@ impl ExperimentalChip {
         op: OperatingPoint,
         faults: SimFaults,
     ) -> Result<SimResult, ExperimentError> {
-        if self.hetero.is_none() {
-            let mut cfg = self.config.at_operating_point(op);
-            cfg.faults = faults;
-            Ok(CmpSimulator::new(cfg, programs).try_run(tlp_sim::chip::MAX_CYCLES)?)
-        } else {
-            let mut spec = self.spec.at_operating_point(op);
-            spec.faults = faults;
-            Ok(CmpSimulator::from_spec(&spec, programs).try_run(tlp_sim::chip::MAX_CYCLES)?)
-        }
+        let mut spec = self.spec.at_operating_point(op);
+        spec.faults = faults;
+        Ok(CmpSimulator::from_spec(&spec, programs).try_run(tlp_sim::chip::MAX_CYCLES)?)
     }
 
-    /// Measures power, temperature, and density for a finished run at
-    /// supply voltage `v`.
+    /// Measures power, temperature, and density for a finished run with
+    /// the base clock domain at supply voltage `v`.
     ///
-    /// Each active core's tile is solved to its own power↔temperature
-    /// fixpoint (cores differ under load imbalance); static power follows
-    /// each core's equilibrium temperature. The L2's static power is
-    /// charged at the average core temperature.
+    /// Each active core is charged from its class's calculator at its
+    /// class's supply rail, and its class's tile is solved to its own
+    /// power↔temperature fixpoint (cores differ under load imbalance);
+    /// static power follows each core's equilibrium temperature. The
+    /// L2's static power is charged at the base rail and the average core
+    /// temperature. Power density is over the active cores' tile area.
     pub fn measure(&self, result: &SimResult, v: Volts) -> ChipMeasurement {
         self.try_measure(result, v, &FixpointOptions::default())
             .unwrap_or_else(|e| panic!("{e}"))
@@ -388,6 +349,36 @@ impl ExperimentalChip {
         self.try_measure_with(result, v, opts, &MeasureFaults::default())
     }
 
+    /// Per-class dynamic power of a run with the base clock domain at
+    /// supply `v`, and the supply rail of each class: the base domain
+    /// runs at `v`; a scaled domain runs at the ladder voltage for its
+    /// class frequency (clamped — a 2:1 little class at base f_min simply
+    /// shares the floor rail).
+    pub(crate) fn try_dynamic(
+        &self,
+        result: &SimResult,
+        v: Volts,
+    ) -> Result<(DynamicBreakdown, Vec<Volts>), PowerError> {
+        let volts: Vec<Volts> = self
+            .spec
+            .classes
+            .iter()
+            .map(|c| {
+                if c.base_domain() {
+                    v
+                } else {
+                    self.dvfs.voltage_for_clamped(c.frequency(result.frequency))
+                }
+            })
+            .collect();
+        let assign: Vec<usize> = (0..result.cores.len())
+            .map(|i| self.spec.class_of(i))
+            .collect();
+        let breakdown =
+            PowerCalculator::try_dynamic_classes(&self.class_power, &assign, &volts, result)?;
+        Ok((breakdown, volts))
+    }
+
     /// [`ExperimentalChip::try_measure`] with measurement-stage fault
     /// injection. With `faults` at its default this is the same code path
     /// at the cost of one branch and one multiply per fixpoint iteration.
@@ -398,131 +389,29 @@ impl ExperimentalChip {
         opts: &FixpointOptions,
         faults: &MeasureFaults,
     ) -> Result<ChipMeasurement, ExperimentError> {
-        if self.hetero.is_some() {
-            return self.try_measure_hetero(result, v, opts, faults);
-        }
         let _span = tlp_obs::span("chip.measure");
-        let breakdown = self.power.try_dynamic(result, v)?;
-        let tile_fp = self.tile.floorplan().clone();
+        let (breakdown, volts) = self.try_dynamic(result, v)?;
         let n = breakdown.cores.len();
 
         let mut core_temps = Vec::with_capacity(n);
         let mut static_total = Watts::ZERO;
         let mut core_dynamic_total = Watts::ZERO;
         let mut fixpoint_iterations = 0u32;
-
-        for core in &breakdown.cores {
-            // Map this core's structure powers onto the single-tile
-            // floorplan (block names are "core0.<structure>").
-            let single = tlp_power::DynamicBreakdown {
-                cores: vec![*core],
-                l2: Watts::ZERO,
-                bus: breakdown.bus / n as f64,
-            };
-            let mut dyn_blocks = self.power.try_per_block(&single, &tile_fp)?;
-            if faults.nan_power {
-                if let Some(first) = dyn_blocks.first_mut() {
-                    *first = Watts::new(f64::NAN);
-                }
-            }
-            let statics = &self.statics;
-            let tile = &self.tile;
-            let leakage_scale = faults.leakage_scale;
-            let result = tile.try_fixpoint(
-                &dyn_blocks,
-                |map| {
-                    let t = map
-                        .average_active_core_temperature(&tile_fp, 1)
-                        .max(tile.ambient());
-                    let s = statics.core_static(v, t) * leakage_scale;
-                    tile.uniform_core_power(s, 1)
-                },
-                opts,
-            )?;
-            let temp = result.map.average_active_core_temperature(&tile_fp, 1);
-            core_temps.push(temp);
-            fixpoint_iterations += result.iterations;
-            static_total += result.static_power.iter().copied().sum::<Watts>();
-            core_dynamic_total += core.total() + breakdown.bus / n as f64;
-        }
-
-        // L2: static at the average core temperature (it runs cooler; the
-        // 0.5-core ratio inside chip_static already reflects that).
-        let avg =
-            Celsius::new(core_temps.iter().map(|t| t.as_f64()).sum::<f64>() / n.max(1) as f64);
-        let l2_static = self.statics.chip_static(0, v, avg) + Watts::ZERO;
-        // chip_static(0) gives just the L2 share.
-        static_total += l2_static;
-
-        let density = PowerDensity::new(
-            (core_dynamic_total.as_f64() + static_total.as_f64() - l2_static.as_f64())
-                / (n as f64 * self.tile_area_mm2),
-        );
-
-        Ok(ChipMeasurement {
-            dynamic: breakdown.total(),
-            static_: static_total,
-            core_temps,
-            power_density: density,
-            fixpoint_iterations,
-        })
-    }
-
-    /// The heterogeneous measurement path: each core is charged from its
-    /// class's calculator at its class's supply rail and solved on its
-    /// class's tile. Deliberately a separate body from the homogeneous
-    /// path above — sharing a generalized loop would perturb the
-    /// floating-point evaluation order and break the byte-identity the
-    /// redesign guarantees for legacy chips.
-    fn try_measure_hetero(
-        &self,
-        result: &SimResult,
-        v: Volts,
-        opts: &FixpointOptions,
-        faults: &MeasureFaults,
-    ) -> Result<ChipMeasurement, ExperimentError> {
-        let _span = tlp_obs::span("chip.measure");
-        let h = self.hetero.as_ref().expect("heterogeneous state");
-        let n = result.cores.len();
-        let assign: Vec<usize> = (0..n).map(|i| self.spec.class_of(i)).collect();
-        // Per-class supply rails: the base domain runs at the caller's
-        // voltage; a scaled domain runs at the ladder voltage for its
-        // class frequency (clamped — a 2:1 little class at base f_min
-        // simply shares the floor rail).
-        let base_f = result.frequency;
-        let volts: Vec<Volts> = self
-            .spec
-            .classes
-            .iter()
-            .map(|c| {
-                if c.base_domain() {
-                    v
-                } else {
-                    h.dvfs.voltage_for_clamped(c.frequency(base_f))
-                }
-            })
-            .collect();
-        let breakdown =
-            PowerCalculator::try_dynamic_classes(&h.class_power, &assign, &volts, result)?;
-
-        let mut core_temps = Vec::with_capacity(n);
-        let mut static_total = Watts::ZERO;
-        let mut core_dynamic_total = Watts::ZERO;
-        let mut fixpoint_iterations = 0u32;
-        let mut area_total = 0.0;
+        let mut class_cores = vec![0usize; self.spec.classes.len()];
 
         for (i, core) in breakdown.cores.iter().enumerate() {
-            let class = assign[i];
-            let calc = &h.class_power[class];
-            let tile = &h.class_tiles[class];
-            let tile_fp = tile.floorplan().clone();
+            let class = self.spec.class_of(i);
+            let tile = &self.class_tiles[class];
+            let tile_fp = tile.floorplan();
             let vc = volts[class];
-            let single = tlp_power::DynamicBreakdown {
+            // Map this core's structure powers onto its single-tile
+            // floorplan (block names are "core0.<structure>").
+            let single = DynamicBreakdown {
                 cores: vec![*core],
                 l2: Watts::ZERO,
                 bus: breakdown.bus / n as f64,
             };
-            let mut dyn_blocks = calc.try_per_block(&single, &tile_fp)?;
+            let mut dyn_blocks = self.class_power[class].try_per_block(&single, tile_fp)?;
             if faults.nan_power {
                 if let Some(first) = dyn_blocks.first_mut() {
                     *first = Watts::new(f64::NAN);
@@ -534,31 +423,39 @@ impl ExperimentalChip {
                 &dyn_blocks,
                 |map| {
                     let t = map
-                        .average_active_core_temperature(&tile_fp, 1)
+                        .average_active_core_temperature(tile_fp, 1)
                         .max(tile.ambient());
                     let s = statics.core_static(vc, t) * leakage_scale;
                     tile.uniform_core_power(s, 1)
                 },
                 opts,
             )?;
-            let temp = fix.map.average_active_core_temperature(&tile_fp, 1);
-            core_temps.push(temp);
+            core_temps.push(fix.map.average_active_core_temperature(tile_fp, 1));
             fixpoint_iterations += fix.iterations;
             static_total += fix.static_power.iter().copied().sum::<Watts>();
             core_dynamic_total += core.total() + breakdown.bus / n as f64;
-            area_total += h.class_areas[class];
+            class_cores[class] += 1;
         }
 
-        // L2: static at the base rail and the average core temperature,
-        // exactly as on the homogeneous path.
+        // L2: static at the base rail and the average core temperature
+        // (it runs cooler; the 0.5-core ratio inside chip_static already
+        // reflects that). chip_static(0) gives just the L2 share.
         let avg =
             Celsius::new(core_temps.iter().map(|t| t.as_f64()).sum::<f64>() / n.max(1) as f64);
         let l2_static = self.statics.chip_static(0, v, avg);
         static_total += l2_static;
 
+        // Active tile area as a sum over classes of cores × tile area, so
+        // the same hardware gives the same bits however it is split into
+        // classes.
+        let active_area: f64 = class_cores
+            .iter()
+            .zip(&self.class_areas)
+            .map(|(&k, area)| k as f64 * area)
+            .sum();
         let density = PowerDensity::new(
             (core_dynamic_total.as_f64() + static_total.as_f64() - l2_static.as_f64())
-                / area_total.max(f64::MIN_POSITIVE),
+                / active_area,
         );
 
         Ok(ChipMeasurement {
@@ -636,22 +533,41 @@ mod tests {
 
     #[test]
     fn from_spec_homogeneous_measures_byte_identically_to_legacy() {
-        #[allow(deprecated)]
-        let legacy = ExperimentalChip::new(CmpConfig::ispass05(16), Technology::itrs_65nm());
-        let spec = chip();
-        assert!(spec.hetero.is_none());
-        assert_eq!(spec.config(), legacy.config());
-        let op = legacy.config().operating_point;
-        let r_legacy = legacy.run(gang(AppId::WaterNsq, 2, Scale::Test, 7), op);
-        let r_spec = spec.run(gang(AppId::WaterNsq, 2, Scale::Test, 7), op);
-        let v = legacy.tech().vdd_nominal();
-        let m_legacy = legacy.measure(&r_legacy, v);
-        let m_spec = spec.measure(&r_spec, v);
-        assert_eq!(
-            format!("{m_legacy:?}"),
-            format!("{m_spec:?}"),
-            "homogeneous ChipSpec must be bit-exact with the legacy constructor"
+        // The reference is the same hardware described as two identical
+        // base-domain classes of 8 cores: any result that depends on the
+        // class layout rather than the hardware differs between the two.
+        let one_class = ChipSpec::ispass05(16);
+        let half = tlp_sim::CoreClass {
+            count: 8,
+            ..one_class.classes[0].clone()
+        };
+        let split = ExperimentalChip::from_spec(
+            ChipSpec {
+                classes: vec![half.clone(), half],
+                ..one_class
+            },
+            Technology::itrs_65nm(),
         );
+        let spec = chip();
+        assert_eq!(spec.config(), split.config());
+        let op = spec.config().operating_point;
+        let v = spec.tech().vdd_nominal();
+        for n in [2, 12, 16] {
+            let r_split = split.run(gang(AppId::WaterNsq, n, Scale::Test, 7), op);
+            let r_spec = spec.run(gang(AppId::WaterNsq, n, Scale::Test, 7), op);
+            assert_eq!(
+                format!("{r_split:?}"),
+                format!("{r_spec:?}"),
+                "run at n = {n}"
+            );
+            let m_split = split.measure(&r_split, v);
+            let m_spec = spec.measure(&r_spec, v);
+            assert_eq!(
+                format!("{m_split:?}"),
+                format!("{m_spec:?}"),
+                "the class layout changed the measurement at n = {n}"
+            );
+        }
     }
 
     #[test]
@@ -690,11 +606,13 @@ mod tests {
         assert!((c.core_area_mm2() * 16.0 - DIE_EDGE_MM * DIE_EDGE_MM * 0.65).abs() < 1e-9);
         // Heterogeneous chips apportion the same region by issue width.
         let mix = ExperimentalChip::from_spec(ChipSpec::big_little(4, 12), Technology::itrs_65nm());
-        let h = mix.hetero.as_ref().unwrap();
-        let total: f64 = h.class_areas[0] * 4.0 + h.class_areas[1] * 12.0;
+        let areas = &mix.class_areas;
+        let total: f64 = areas[0] * 4.0 + areas[1] * 12.0;
         assert!((total - DIE_EDGE_MM * DIE_EDGE_MM * 0.65).abs() < 1e-9);
         // A 2-wide little tile is half the area of a 4-wide big tile.
-        assert!((h.class_areas[0] / h.class_areas[1] - 2.0).abs() < 1e-12);
+        assert!((areas[0] / areas[1] - 2.0).abs() < 1e-12);
+        // One class: every tile is exactly the average core area.
+        assert_eq!(c.class_areas, vec![c.core_area_mm2()]);
     }
 
     #[test]

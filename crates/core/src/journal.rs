@@ -247,8 +247,8 @@ pub fn sweep_fingerprint(spec: &SweepSpec, plan: &FaultPlan, policy: &RetryPolic
     sweep_fingerprint_ext(spec, plan, policy, None)
 }
 
-/// [`sweep_fingerprint`] extended with the chip's heterogeneity tag
-/// ([`tlp_sim::ChipSpec::tag`]). `None` — the homogeneous legacy chip —
+/// [`sweep_fingerprint`] extended with the chip's tag
+/// ([`tlp_sim::ChipSpec::chip_tag`]). `None` — a homogeneous chip —
 /// hashes the exact same string as before the tag existed, so every
 /// pre-heterogeneity journal still resumes; `Some(tag)` appends a
 /// `|chip:` component, so a heterogeneous sweep pointed at a homogeneous
@@ -420,9 +420,9 @@ impl Journal {
         Self::open_with_chip(path, mode, spec, plan, policy, None)
     }
 
-    /// [`Journal::open`] for sweeps on a specific chip: `chip_tag` is the
-    /// heterogeneity tag ([`tlp_sim::ChipSpec::tag`]) for chips the
-    /// legacy homogeneous path cannot express, `None` otherwise. The tag
+    /// [`Journal::open`] for sweeps on a specific chip: `chip_tag` is
+    /// the chip's [`tlp_sim::ChipSpec::chip_tag`], `None` for a
+    /// homogeneous chip. The tag
     /// goes into both the fingerprint and the header record, so
     /// homogeneous journals stay byte-identical and cross-chip resumes
     /// are refused with [`JournalError::SpecMismatch`].

@@ -181,7 +181,7 @@ pub fn try_run(
 ) -> Result<Scenario1Result, ExperimentError> {
     assert!(!profile.core_counts.is_empty(), "empty profile");
     let tech = chip.tech();
-    let table = DvfsTable::for_technology(tech, Hertz::from_mhz(200.0), Hertz::from_mhz(200.0))?;
+    let table = chip.dvfs();
     let f1 = tech.f_nominal();
     let opts = FixpointOptions::default();
 
@@ -205,7 +205,7 @@ pub fn try_run(
             )
         } else {
             // Eq. 7 frequency target, clamped into the DVFS table range.
-            let op = operating_point_for(&table, f1, n, eps)?;
+            let op = operating_point_for(table, f1, n, eps)?;
             (chip.try_run(gang(profile.app, n, scale, seed), op)?, op)
         };
         let m = chip.try_measure(&result, op.voltage, &opts)?;

@@ -11,8 +11,8 @@
 //! observation.
 
 use tlp_sim::SimResult;
-use tlp_tech::units::{Hertz, Watts};
-use tlp_tech::{DvfsTable, OperatingPoint};
+use tlp_tech::units::Watts;
+use tlp_tech::OperatingPoint;
 use tlp_thermal::FixpointOptions;
 use tlp_workloads::{gang, AppId, Scale};
 
@@ -89,7 +89,7 @@ pub fn try_run(
     assert!(!profile.core_counts.is_empty(), "empty profile");
     let tech = chip.tech();
     let budget = budget.unwrap_or(chip.calibration().single_core_budget);
-    let table = DvfsTable::for_technology(tech, Hertz::from_mhz(200.0), Hertz::from_mhz(200.0))?;
+    let table = chip.dvfs();
     let base_time = profile.baseline.execution_time();
     let opts = FixpointOptions::default();
 

@@ -222,10 +222,7 @@ fn open_journal(ctx: Ctx<'_>, record: &JobRecord) -> Option<Journal> {
     // A heterogeneous job's journal is fingerprinted with its chip tag;
     // reading it back needs the same tag or the open is (correctly)
     // refused as a spec mismatch.
-    let chip_tag = record.core_mix.and_then(|(big, little)| {
-        let spec = tlp_sim::ChipSpec::big_little(big, little);
-        (!spec.is_homogeneous()).then(|| spec.tag())
-    });
+    let chip_tag = crate::shard::chip_tag_for(record.core_mix);
     Journal::open_with_chip(
         &path,
         JournalMode::Resume,

@@ -114,8 +114,7 @@ pub fn subspec(spec: &SweepSpec, range: WorkRange) -> SweepSpec {
 /// worker journals exactly.
 pub fn chip_tag_for(core_mix: Option<(usize, usize)>) -> Option<String> {
     let (big, little) = core_mix?;
-    let spec = ChipSpec::big_little(big, little);
-    (!spec.is_homogeneous()).then(|| spec.tag())
+    ChipSpec::big_little(big, little).chip_tag()
 }
 
 /// Failure of the sharding layer, typed end to end (HTTP handlers map

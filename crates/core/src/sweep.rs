@@ -108,7 +108,6 @@ use std::time::{Duration, Instant};
 use tlp_analytic::BudgetSpec;
 use tlp_sim::{ChipSpec, SimError, SimFaults, SimResult};
 use tlp_tech::rng::SplitMix64;
-use tlp_tech::units::Hertz;
 use tlp_tech::{DvfsTable, OperatingPoint};
 use tlp_thermal::{FixpointOptions, ThermalError};
 use tlp_workloads::{gang, AppId, Scale, ServerSpec};
@@ -806,15 +805,6 @@ impl<'c> SweepBuilder<'c> {
         self
     }
 
-    /// Applications to sweep.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use SweepBuilder::workloads with WorkloadId::App entries"
-    )]
-    pub fn apps(self, apps: Vec<AppId>) -> Self {
-        self.workloads(apps.into_iter().map(WorkloadId::App).collect())
-    }
-
     /// Replaces the chip under sweep with one built from `spec` (same
     /// technology as the current chip). Heterogeneous specs flow through
     /// everything downstream: per-class clock domains in the simulator,
@@ -935,8 +925,6 @@ impl<'c> SweepBuilder<'c> {
     ///
     /// # Errors
     ///
-    /// [`ExperimentError::Tech`] if the DVFS ladder itself cannot be
-    /// built — without it no cell is meaningful — and
     /// [`ExperimentError::Trace`] if a requested trace artifact cannot
     /// be written (the sweep itself succeeded in that case).
     ///
@@ -1102,16 +1090,12 @@ fn sweep_engine(
         spec.core_counts.first() == Some(&1),
         "sweep core counts must start at 1"
     );
-    let tech = chip.tech();
-    let table = DvfsTable::for_technology(tech, Hertz::from_mhz(200.0), Hertz::from_mhz(200.0))?;
+    let table = chip.dvfs();
     let threads = opts.resolved_threads();
     let n_counts = spec.core_counts.len();
     let works = spec.works();
     let total = works.len() * n_counts;
-    // Heterogeneous chips stamp their class layout into the journal
-    // fingerprint and the report; homogeneous ones stay tag-free so
-    // their journals and JSON stay byte-identical to the legacy path.
-    let chip_tag = (!chip.spec().is_homogeneous()).then(|| chip.spec().tag());
+    let chip_tag = chip.spec().chip_tag();
 
     let journal = match journal_at {
         Some((path, mode)) => {
@@ -1133,7 +1117,7 @@ fn sweep_engine(
         spec,
         policy,
         plan,
-        table: &table,
+        table,
         journal,
         interrupt,
         works: &works,
@@ -1704,7 +1688,7 @@ mod tests {
     }
 
     #[test]
-    fn workloads_splits_apps_and_server_loads_and_apps_shim_still_works() {
+    fn workloads_splits_apps_and_server_loads() {
         let c = chip();
         let b = c.sweep().workloads(vec![
             WorkloadId::App(AppId::Fft),
@@ -1713,10 +1697,8 @@ mod tests {
         ]);
         assert_eq!(b.spec.apps, vec![AppId::Fft, AppId::WaterNsq]);
         assert_eq!(b.spec.server_loads, vec![5_000_000]);
-        // The deprecated shim routes through workloads: it replaces
-        // both lists, not just the apps.
-        #[allow(deprecated)]
-        let b = b.apps(vec![AppId::Lu]);
+        // A second call replaces both lists, not just the apps.
+        let b = b.workloads(vec![WorkloadId::App(AppId::Lu)]);
         assert_eq!(b.spec.apps, vec![AppId::Lu]);
         assert!(b.spec.server_loads.is_empty());
     }

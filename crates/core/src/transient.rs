@@ -55,10 +55,11 @@ impl TransientTrace {
     }
 }
 
-/// Runs `programs` at `op`, sampling every `window_cycles`, and marches
-/// the per-core-tile thermal network through the windows. Returns the
-/// run's aggregate result and the thermal trace (averaged over active
-/// cores; the tile of core 0 representative for symmetric gangs).
+/// Runs `programs` on the chip at `op`, sampling every `window_cycles`,
+/// and marches the per-core-tile thermal network through the windows.
+/// Returns the run's aggregate result and the thermal trace (each
+/// window's cores charged at their class's rail, then averaged onto
+/// class 0's tile, which represents a symmetric gang).
 ///
 /// Thermal speed-up: real workloads run for seconds while our scaled runs
 /// last microseconds, so each window's heat is applied with a
@@ -77,8 +78,8 @@ pub fn thermal_trace(
     time_dilation: f64,
 ) -> (SimResult, TransientTrace) {
     assert!(time_dilation > 0.0, "time dilation must be positive");
-    let cfg = chip.config().at_operating_point(op);
-    let (result, windows) = CmpSimulator::new(cfg, programs).run_sampled(window_cycles);
+    let spec = chip.spec().at_operating_point(op);
+    let (result, windows) = CmpSimulator::from_spec(&spec, programs).run_sampled(window_cycles);
     let trace = trace_from_windows(chip, &result, &windows, op.voltage, time_dilation);
     (result, trace)
 }
@@ -120,7 +121,9 @@ pub fn trace_from_windows(
             mem: result.mem,
             requests: None,
         };
-        let breakdown = chip.power_calculator().dynamic(&window_result, v);
+        let (breakdown, _) = chip
+            .try_dynamic(&window_result, v)
+            .expect("a window covers at least one cycle");
         for c in &breakdown.cores {
             avg.clock += c.clock;
             avg.icache += c.icache;
@@ -257,6 +260,22 @@ mod tests {
             max > 1.3 * min.max(0.1),
             "flat power trace: min {min} max {max}"
         );
+    }
+
+    #[test]
+    fn big_little_trace_simulates_the_chip_itself() {
+        let chip = ExperimentalChip::from_spec(ChipSpec::big_little(2, 2), Technology::itrs_65nm());
+        let op = chip.config().operating_point;
+        let (traced, trace) = thermal_trace(
+            &chip,
+            gang(AppId::WaterNsq, 4, Scale::Test, 7),
+            op,
+            5_000,
+            1e4,
+        );
+        let run = chip.run(gang(AppId::WaterNsq, 4, Scale::Test, 7), op);
+        assert_eq!(format!("{traced:?}"), format!("{run:?}"));
+        assert!(!trace.points.is_empty());
     }
 
     #[test]

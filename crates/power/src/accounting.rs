@@ -204,7 +204,8 @@ impl PowerCalculator {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible variant of [`PowerCalculator::dynamic`].
+    /// Fallible variant of [`PowerCalculator::dynamic`]: the one-class
+    /// case of [`PowerCalculator::try_dynamic_classes`].
     ///
     /// # Errors
     ///
@@ -214,55 +215,22 @@ impl PowerCalculator {
         result: &SimResult,
         v: Volts,
     ) -> Result<DynamicBreakdown, PowerError> {
-        if result.cycles == 0 {
-            return Err(PowerError::EmptyRun);
-        }
-        tlp_obs::metrics::POWER_BREAKDOWNS.incr();
-        let time: Seconds = result.execution_time();
-        let to_power = |j: f64| -> Watts { Joules::new(j * self.renorm).over(time) };
-
-        let cores = result
-            .cores
-            .iter()
-            .map(|s| {
-                let e = self.core_energy(s, v, result.cycles);
-                // core_energy returns energy totals disguised in the
-                // CoreDynamic fields; convert each to power.
-                CoreDynamic {
-                    clock: to_power(e.clock.as_f64()),
-                    icache: to_power(e.icache.as_f64()),
-                    dcache: to_power(e.dcache.as_f64()),
-                    int_exec: to_power(e.int_exec.as_f64()),
-                    fp_exec: to_power(e.fp_exec.as_f64()),
-                    regfile: to_power(e.regfile.as_f64()),
-                    issue: to_power(e.issue.as_f64()),
-                    bpred: to_power(e.bpred.as_f64()),
-                    lsq: to_power(e.lsq.as_f64()),
-                }
-            })
-            .collect();
-
-        let l2_accesses = result.l2.accesses();
-        let l2 = to_power(self.energies.l2_access.read_energy(v).as_f64() * l2_accesses as f64);
-        // Bus drive plus remote snoop work: full tag probes for resident
-        // snoops, cheap filter lookups for screened ones.
-        let bus = to_power(
-            CoreEnergies::switch(self.energies.c_bus_per_txn, v).as_f64()
-                * result.mem.bus_transactions as f64
-                + CoreEnergies::switch(self.energies.c_snoop_probe, v).as_f64()
-                    * result.mem.snoop_probes as f64
-                + CoreEnergies::switch(self.energies.c_filter_lookup, v).as_f64()
-                    * result.mem.snoops_filtered as f64,
-        );
-        Ok(DynamicBreakdown { cores, l2, bus })
+        Self::try_dynamic_classes(
+            std::slice::from_ref(self),
+            &vec![0; result.cores.len()],
+            &[v],
+            result,
+        )
     }
 
-    /// Per-class heterogeneous accounting: core `i` is charged from the
-    /// energy table (and renorm) of `class_calcs[assign[i]]` at that
-    /// class's supply voltage `volts[assign[i]]`, while the shared
-    /// L2/bus — always in the base clock domain — is charged from
-    /// `class_calcs[0]` at `volts[0]`. With a single class this is
-    /// exactly [`PowerCalculator::try_dynamic`].
+    /// Computes the dynamic power breakdown of a run on a chip of core
+    /// classes: core `i` is charged from the energy table (and renorm)
+    /// of `class_calcs[assign[i]]` at that class's supply voltage
+    /// `volts[assign[i]]`, while the shared L2/bus — always in the base
+    /// clock domain — is charged from `class_calcs[0]` at `volts[0]`.
+    ///
+    /// Energies are converted to power over the run's wall-clock time at
+    /// its operating frequency, then renormalized.
     ///
     /// # Panics
     ///
@@ -303,6 +271,8 @@ impl PowerCalculator {
                 let calc = &class_calcs[assign[i]];
                 let v = volts[assign[i]];
                 let to_power = |j: f64| -> Watts { Joules::new(j * calc.renorm).over(time) };
+                // core_energy returns energy totals disguised in the
+                // CoreDynamic fields; convert each to power.
                 let e = calc.core_energy(s, v, result.cycles);
                 CoreDynamic {
                     clock: to_power(e.clock.as_f64()),
@@ -323,6 +293,8 @@ impl PowerCalculator {
         let to_power = |j: f64| -> Watts { Joules::new(j * base.renorm).over(time) };
         let l2_accesses = result.l2.accesses();
         let l2 = to_power(base.energies.l2_access.read_energy(v0).as_f64() * l2_accesses as f64);
+        // Bus drive plus remote snoop work: full tag probes for resident
+        // snoops, cheap filter lookups for screened ones.
         let bus = to_power(
             CoreEnergies::switch(base.energies.c_bus_per_txn, v0).as_f64()
                 * result.mem.bus_transactions as f64

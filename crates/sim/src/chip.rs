@@ -1,4 +1,10 @@
 //! Top-level CMP simulator.
+//!
+//! Every chip is built by one constructor body,
+//! [`CmpSimulator::from_spec`]: per-class cores and L1Ds, and a clock
+//! ratio for every core. [`CmpSimulator::new`] simulates a [`CmpConfig`]
+//! as the one-class spec it describes; a base-domain core ticks on every
+//! base cycle without touching the phase arithmetic.
 
 use crate::config::CmpConfig;
 use crate::core::Core;
@@ -64,16 +70,25 @@ pub struct CmpSimulator {
     /// core is stepped every cycle of its clock domain.
     fast_forward: bool,
     /// Per-core clock-domain ratios `(num, den)` relative to the base
-    /// domain, present only for heterogeneous chips: core `i` is stepped
-    /// on base cycle `c` iff `⌊(c+1)·num/den⌋ > ⌊c·num/den⌋` (an integer
-    /// phase accumulator). `None` — every homogeneous chip — steps every
-    /// core every cycle, bit-identical to the pre-`ChipSpec` loop.
-    domains: Option<Vec<(u32, u32)>>,
+    /// domain: core `i` is stepped on base cycle `c` iff
+    /// `⌊(c+1)·num/den⌋ > ⌊c·num/den⌋` (an integer phase accumulator).
+    /// A base-domain core (`num == den`) ticks on every cycle.
+    domains: Vec<(u32, u32)>,
 }
 
 /// Domain ticks elapsed in `[0, cycle)` base cycles for ratio `num/den`.
 fn phase_ticks(cycle: u64, num: u32, den: u32) -> u64 {
     ((u128::from(cycle) * u128::from(num)) / u128::from(den)) as u64
+}
+
+/// Domain ticks of ratio `num/den` in base cycles `[from, to)`; the
+/// base domain skips the phase arithmetic.
+fn ticks_between(from: u64, to: u64, (num, den): (u32, u32)) -> u64 {
+    if num == den {
+        to - from
+    } else {
+        phase_ticks(to, num, den) - phase_ticks(from, num, den)
+    }
 }
 
 /// Per-core parking state of one run.
@@ -155,33 +170,20 @@ impl Parking {
         }
     }
 
-    /// Applies core `i`'s parked steps in `[from, to)` — every base
-    /// cycle, or the ticks of its clock domain.
-    fn catch_up(
-        &mut self,
-        core: &mut Core,
-        i: usize,
-        from: u64,
-        to: u64,
-        domains: &Option<Vec<(u32, u32)>>,
-    ) {
-        let k = match domains {
-            None => to - from,
-            Some(d) => {
-                let (num, den) = d[i];
-                phase_ticks(to, num, den) - phase_ticks(from, num, den)
-            }
-        };
+    /// Applies a parked core's steps in `[from, to)`: the ticks of its
+    /// clock domain `domain`.
+    fn catch_up(&mut self, core: &mut Core, from: u64, to: u64, domain: (u32, u32)) {
+        let k = ticks_between(from, to, domain);
         core.fast_forward(k);
         self.caught_up += k;
     }
 
     /// Brings every parked core's counters up to `cycle`; they stay
     /// parked.
-    fn catch_up_all(&mut self, cores: &mut [Core], cycle: u64, domains: &Option<Vec<(u32, u32)>>) {
+    fn catch_up_all(&mut self, cores: &mut [Core], cycle: u64, domains: &[(u32, u32)]) {
         for (i, core) in cores.iter_mut().enumerate() {
             if let Some(from) = self.slots[i].from {
-                self.catch_up(core, i, from, cycle, domains);
+                self.catch_up(core, from, cycle, domains[i]);
                 self.slots[i].from = Some(cycle);
             }
         }
@@ -190,49 +192,23 @@ impl Parking {
 
 impl CmpSimulator {
     /// Builds a simulator running one thread per program on the first
-    /// `programs.len()` cores; remaining cores are shut down (as in the
-    /// paper, unused cores are powered off).
+    /// `programs.len()` cores of a one-class chip; remaining cores are
+    /// shut down (as in the paper, unused cores are powered off). The
+    /// same simulator as [`CmpSimulator::from_spec`] on
+    /// [`ChipSpec::from_config`].
     ///
     /// # Panics
     ///
     /// Panics if `programs` is empty or larger than the configured core
     /// count.
     pub fn new(config: CmpConfig, programs: Vec<Box<dyn ThreadProgram>>) -> Self {
-        let n = programs.len();
-        assert!(
-            n >= 1 && n <= config.n_cores,
-            "thread count {n} outside 1..={}",
-            config.n_cores
-        );
-        let memory = MemorySystem::new(&config, n);
-        let mut sync = SyncManager::new(n);
-        if let Some((barrier, core)) = config.faults.drop_barrier_arrival {
-            sync.inject_drop_arrival(barrier, core);
-        }
-        let cores = programs
-            .into_iter()
-            .enumerate()
-            .map(|(id, p)| {
-                let mut core = Core::new(id, config.core, p);
-                core.set_completion_skew(config.faults.skew_request_completion);
-                core
-            })
-            .collect();
-        Self {
-            config,
-            cores,
-            memory,
-            sync,
-            fast_forward: true,
-            domains: None,
-        }
+        Self::from_spec(&ChipSpec::from_config(&config), programs)
     }
 
-    /// Builds a simulator for a [`ChipSpec`]. Homogeneous specs take the
-    /// exact [`CmpSimulator::new`] path (byte-identical results to the
-    /// pre-`ChipSpec` API); heterogeneous specs get per-class cores and
-    /// L1Ds plus per-core clock-domain gating. Threads fill cores in
-    /// core-index order, so class 0's cores are occupied first.
+    /// Builds a simulator for a [`ChipSpec`]: per-class cores and L1Ds
+    /// plus per-core clock-domain gating. Threads fill cores in
+    /// core-index order, so class 0's cores are occupied first; unused
+    /// cores are shut down.
     ///
     /// Domain-tick latencies (L1 hit, mispredict penalty, sleep wakeup)
     /// are converted to base cycles here, once, via
@@ -244,21 +220,17 @@ impl CmpSimulator {
     /// Panics if `programs` is empty or larger than the spec's core
     /// count.
     pub fn from_spec(spec: &ChipSpec, programs: Vec<Box<dyn ThreadProgram>>) -> Self {
-        if let Some(cfg) = spec.to_cmp_config() {
-            return Self::new(cfg, programs);
-        }
         let n = programs.len();
         assert!(
             n >= 1 && n <= spec.n_cores(),
             "thread count {n} outside 1..={}",
             spec.n_cores()
         );
+        let classes: Vec<_> = (0..n).map(|i| &spec.classes[spec.class_of(i)]).collect();
         let base = spec.base_config();
-        let l1d = (0..n)
-            .map(|i| {
-                let class = &spec.classes[spec.class_of(i)];
-                (class.l1d, class.base_cycles(class.l1d.latency_cycles))
-            })
+        let l1d = classes
+            .iter()
+            .map(|class| (class.l1d, class.base_cycles(class.l1d.latency_cycles)))
             .collect();
         let memory = MemorySystem::heterogeneous(&base, l1d);
         let mut sync = SyncManager::new(n);
@@ -268,15 +240,14 @@ impl CmpSimulator {
         // The spin→sleep countdown is the one wait horizon measured in
         // domain ticks rather than absolute base cycles, so fast-forward
         // is only safe when no gated class can sleep at a barrier.
-        let gated_sleeper = (0..n).any(|i| {
-            let class = &spec.classes[spec.class_of(i)];
-            class.core.sleep.enabled && !class.base_domain()
-        });
+        let gated_sleeper = classes
+            .iter()
+            .any(|class| class.core.sleep.enabled && !class.base_domain());
         let cores = programs
             .into_iter()
+            .zip(&classes)
             .enumerate()
-            .map(|(id, p)| {
-                let class = &spec.classes[spec.class_of(id)];
+            .map(|(id, (p, class))| {
                 let mut cfg = class.core;
                 cfg.mispredict_penalty = class.base_cycles(cfg.mispredict_penalty);
                 if cfg.sleep.enabled {
@@ -287,28 +258,21 @@ impl CmpSimulator {
                 core
             })
             .collect();
-        let domains = (0..n)
-            .map(|i| spec.classes[spec.class_of(i)].clock)
-            .collect();
+        let domains = classes.iter().map(|class| class.clock).collect();
         Self {
             config: base,
             cores,
             memory,
             sync,
             fast_forward: !gated_sleeper,
-            domains: Some(domains),
+            domains,
         }
     }
 
     /// Whether base cycle `cycle` is a tick of core `i`'s clock domain.
     fn domain_ticks(&self, i: usize, cycle: u64) -> bool {
-        match &self.domains {
-            None => true,
-            Some(d) => {
-                let (num, den) = d[i];
-                phase_ticks(cycle + 1, num, den) > phase_ticks(cycle, num, den)
-            }
-        }
+        let (num, den) = self.domains[i];
+        num == den || phase_ticks(cycle + 1, num, den) > phase_ticks(cycle, num, den)
     }
 
     /// Enables or disables core parking: a core in a pure wait (stalls,
@@ -431,7 +395,7 @@ impl CmpSimulator {
                     }
                     if let Some(from) = parking.slots[i].from.take() {
                         parking.parked -= 1;
-                        parking.catch_up(&mut self.cores[i], i, from, cycle, &self.domains);
+                        parking.catch_up(&mut self.cores[i], from, cycle, self.domains[i]);
                     }
                     self.cores[i].step(cycle, &mut self.memory, &mut self.sync);
                     if parking.parked > 0 && self.sync.releases() != parking.releases {
@@ -1330,7 +1294,19 @@ mod tests {
 
     #[test]
     fn from_spec_homogeneous_is_byte_identical_to_legacy() {
-        use crate::spec::ChipSpec;
+        use crate::spec::{ChipSpec, CoreClass};
+        // The reference describes the same hardware as two identical
+        // base-domain classes, so any behaviour that depends on the class
+        // layout rather than on the hardware shows up as a difference.
+        let one_class = ChipSpec::ispass05(4);
+        let half = CoreClass {
+            count: 2,
+            ..one_class.classes[0].clone()
+        };
+        let split = ChipSpec {
+            classes: vec![half.clone(), half],
+            ..one_class.clone()
+        };
         let prog = || {
             (0..3u64)
                 .map(|t| {
@@ -1344,9 +1320,10 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let legacy = CmpSimulator::new(CmpConfig::ispass05(4), prog()).run();
-        let spec = CmpSimulator::from_spec(&ChipSpec::ispass05(4), prog()).run();
-        assert_eq!(format!("{legacy:?}"), format!("{spec:?}"));
+        let (split_r, split_w) = CmpSimulator::from_spec(&split, prog()).run_sampled(500);
+        let (one_r, one_w) = CmpSimulator::from_spec(&one_class, prog()).run_sampled(500);
+        assert_eq!(format!("{split_r:?}"), format!("{one_r:?}"));
+        assert_eq!(format!("{split_w:?}"), format!("{one_w:?}"));
     }
 
     #[test]

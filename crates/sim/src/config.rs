@@ -189,9 +189,7 @@ impl CmpConfig {
     ///
     /// Panics if `n_cores` is zero.
     pub fn ispass05(n_cores: usize) -> Self {
-        crate::spec::ChipSpec::ispass05(n_cores)
-            .to_cmp_config()
-            .expect("ispass05 is a one-class base-domain spec")
+        crate::spec::ChipSpec::ispass05(n_cores).base_config()
     }
 
     /// Returns a copy running at a different chip-wide operating point.

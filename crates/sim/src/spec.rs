@@ -4,9 +4,12 @@
 //! can simulate. A chip is a list of [`CoreClass`]es — each with its own
 //! pipeline, private L1s, and clock-domain ratio — in front of a shared
 //! L2/bus/memory system that always runs in the *base* clock domain.
-//! The paper's homogeneous 16-way EV6 CMP is the one-class special case
-//! ([`ChipSpec::ispass05`]); [`crate::CmpConfig::ispass05`] is a thin
-//! wrapper over it, so there is exactly one source of truth for Table 1.
+//! The paper's homogeneous 16-way EV6 CMP is one class at ratio 1/1
+//! ([`ChipSpec::ispass05`]) and runs through the same simulator code as
+//! any big/little mix. [`crate::CmpConfig`] is the one-class view of a
+//! spec ([`ChipSpec::base_config`], [`ChipSpec::from_config`]);
+//! [`crate::CmpConfig::ispass05`] is a thin wrapper over the spec, so
+//! there is exactly one source of truth for Table 1.
 //!
 //! # Clock-domain boundary rules
 //!
@@ -24,8 +27,8 @@
 //! * the off-chip memory round trip stays fixed in nanoseconds and is
 //!   converted with the *base* frequency, exactly as before.
 //!
-//! A ratio of `(1, 1)` (or any `num == den`) steps every cycle and is
-//! byte-identical to the pre-`ChipSpec` simulator.
+//! A ratio of `(1, 1)` (or any `num == den`) steps every base cycle, and
+//! its latency conversions are the identity.
 
 use crate::config::{CacheConfig, CmpConfig, CoreConfig, SimFaults, SleepPolicy};
 use crate::stats::CoreStats;
@@ -84,13 +87,14 @@ impl CoreClass {
 /// // The paper's chip, as the one-class special case:
 /// let homo = ChipSpec::ispass05(16);
 /// assert!(homo.is_homogeneous());
-/// assert_eq!(homo.to_cmp_config().unwrap(), tlp_sim::CmpConfig::ispass05(16));
+/// assert_eq!(homo.base_config(), tlp_sim::CmpConfig::ispass05(16));
+/// assert_eq!(homo.chip_tag(), None);
 ///
 /// // A big/little mix: 4 EV6-class cores plus 12 half-rate 2-wide cores.
 /// let mix = ChipSpec::big_little(4, 12);
 /// assert!(!mix.is_homogeneous());
 /// assert_eq!(mix.n_cores(), 16);
-/// assert!(mix.to_cmp_config().is_none());
+/// assert_eq!(mix.chip_tag().as_deref(), Some("big:4w4@1/1+little:12w2@1/2"));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChipSpec {
@@ -219,9 +223,9 @@ impl ChipSpec {
         Self { classes, ..base }
     }
 
-    /// Wraps an arbitrary [`CmpConfig`] as a one-class spec. Exact
-    /// inverse of [`ChipSpec::to_cmp_config`]:
-    /// `ChipSpec::from_config(&c).to_cmp_config() == Some(c)`.
+    /// Wraps an arbitrary [`CmpConfig`] as a one-class base-domain spec.
+    /// Exact inverse of [`ChipSpec::base_config`] on such specs:
+    /// `ChipSpec::from_config(&c).base_config() == c`.
     pub fn from_config(cfg: &CmpConfig) -> Self {
         Self {
             classes: vec![CoreClass {
@@ -249,41 +253,15 @@ impl ChipSpec {
     }
 
     /// Whether the chip is a single class in the base clock domain —
-    /// i.e. expressible as a plain [`CmpConfig`] with no behavior change.
+    /// the paper's homogeneous CMP.
     pub fn is_homogeneous(&self) -> bool {
         self.classes.len() == 1 && self.classes[0].base_domain()
     }
 
-    /// The equivalent [`CmpConfig`] when the spec is homogeneous, `None`
-    /// otherwise. Homogeneous specs always take this path in the
-    /// simulator, which is how the redesign keeps byte-identity with the
-    /// pre-`ChipSpec` code.
-    pub fn to_cmp_config(&self) -> Option<CmpConfig> {
-        if !self.is_homogeneous() {
-            return None;
-        }
-        let c = &self.classes[0];
-        Some(CmpConfig {
-            n_cores: c.count,
-            core: c.core,
-            l1i: c.l1i,
-            l1d: c.l1d,
-            l2: self.l2,
-            bus_addr_cycles: self.bus_addr_cycles,
-            bus_data_cycles: self.bus_data_cycles,
-            cache_to_cache_cycles: self.cache_to_cache_cycles,
-            memory_round_trip: self.memory_round_trip,
-            snoop_filter: self.snoop_filter,
-            operating_point: self.operating_point,
-            faults: self.faults,
-        })
-    }
-
-    /// A [`CmpConfig`] carrying class 0's core/L1 parameters and the
-    /// shared uncore — the base the heterogeneous simulator hands to
-    /// subsystems that want a representative homogeneous view (memory
-    /// construction, frequency, accessors). Never used to *simulate* a
-    /// heterogeneous chip directly.
+    /// A [`CmpConfig`] carrying class 0's core/L1 parameters, the shared
+    /// uncore, and the chip's total core count — the whole chip when it
+    /// has one base-domain class, otherwise the representative view the
+    /// simulator hands to the memory system, frequency and accessors.
     pub fn base_config(&self) -> CmpConfig {
         let c = &self.classes[0];
         CmpConfig {
@@ -333,12 +311,9 @@ impl ChipSpec {
         self.operating_point.frequency
     }
 
-    /// A compact, deterministic description of the chip's heterogeneity,
-    /// used to tag journal fingerprints and serve submissions:
+    /// A compact, deterministic description of the chip's classes:
     /// `"big:4w4@1/1+little:12w2@1/2"` (per class: name, count, issue
-    /// width, clock ratio). Homogeneous base-domain specs are tagged by
-    /// convention with `None` upstream, so this is only ever recorded
-    /// for chips the legacy path cannot express.
+    /// width, clock ratio).
     pub fn tag(&self) -> String {
         self.classes
             .iter()
@@ -350,6 +325,14 @@ impl ChipSpec {
             })
             .collect::<Vec<_>>()
             .join("+")
+    }
+
+    /// The tag a sweep on this chip stamps into its journal fingerprint,
+    /// journal header and report: `None` for a homogeneous chip, so its
+    /// journals and JSON carry no chip axis, and [`ChipSpec::tag`]
+    /// otherwise.
+    pub fn chip_tag(&self) -> Option<String> {
+        (!self.is_homogeneous()).then(|| self.tag())
     }
 
     /// Aggregates per-core counters into per-class activity totals
@@ -401,7 +384,9 @@ mod tests {
         for n in [1, 4, 16] {
             let spec = ChipSpec::ispass05(n);
             assert!(spec.is_homogeneous());
-            assert_eq!(spec.to_cmp_config().unwrap(), CmpConfig::ispass05(n));
+            assert_eq!(spec.chip_tag(), None);
+            assert_eq!(spec.base_config(), CmpConfig::ispass05(n));
+            assert_eq!(ChipSpec::from_config(&CmpConfig::ispass05(n)), spec);
         }
     }
 
@@ -412,7 +397,8 @@ mod tests {
         cfg.snoop_filter = true;
         cfg.faults.cycle_budget = Some(123);
         let spec = ChipSpec::from_config(&cfg);
-        assert_eq!(spec.to_cmp_config(), Some(cfg));
+        assert!(spec.is_homogeneous());
+        assert_eq!(spec.base_config(), cfg);
     }
 
     #[test]
@@ -420,7 +406,7 @@ mod tests {
         let spec = ChipSpec::big_little(4, 12);
         assert_eq!(spec.n_cores(), 16);
         assert!(!spec.is_homogeneous());
-        assert!(spec.to_cmp_config().is_none());
+        assert_eq!(spec.chip_tag(), Some(spec.tag()));
         assert_eq!(spec.class_of(0), 0);
         assert_eq!(spec.class_of(3), 0);
         assert_eq!(spec.class_of(4), 1);

@@ -1,8 +1,9 @@
 //! End-to-end contracts of the heterogeneous chip-spec redesign.
 //!
-//! The migration invariant: a homogeneous [`ChipSpec`] must be
-//! indistinguishable — JSON bytes and journal bytes — from the legacy
-//! `CmpConfig` construction it replaced. On top of that, heterogeneous
+//! The one-code-path invariant: the one-class [`ChipSpec`] must be
+//! indistinguishable — JSON bytes and journal records — from the same
+//! hardware described as two identical classes, and must carry no chip
+//! tag. On top of that, heterogeneous
 //! (big.LITTLE) sweeps keep every determinism and crash-safety property
 //! the homogeneous engine has: parallel runs match serial runs
 //! byte-for-byte, a killed-and-resumed journaled run reproduces the
@@ -17,7 +18,7 @@ use cmp_tlp::journal::JournalError;
 use cmp_tlp::sweep::{SweepReport, SweepSpec};
 use cmp_tlp::{report, ExperimentalChip};
 use tlp_analytic::BudgetSpec;
-use tlp_sim::{ChipSpec, CmpConfig};
+use tlp_sim::{ChipSpec, CoreClass};
 use tlp_tech::json::ToJson;
 use tlp_tech::Technology;
 use tlp_workloads::{AppId, Scale};
@@ -58,28 +59,37 @@ impl Drop for TempJournal {
     }
 }
 
-/// The migration invariant: `ChipSpec::ispass05(16)` is the legacy
-/// `CmpConfig::ispass05(16)` chip — same report bytes, same journal
-/// bytes, and no `chip` axis anywhere in either.
+/// The one-code-path invariant: `ChipSpec::ispass05(16)` sweeps exactly
+/// like the same hardware split into two identical 8-core base-domain
+/// classes — same cells, same report bytes apart from the split chip's
+/// tag, same journal records — and carries no `chip` axis anywhere.
 #[test]
 fn homogeneous_spec_is_byte_identical_to_legacy_config() {
     let apps = vec![AppId::WaterNsq, AppId::Fft];
-    let counts = vec![1, 2, 4];
+    let counts = vec![1, 2, 4, 8, 12, 16];
 
-    #[allow(deprecated)]
-    let legacy = ExperimentalChip::new(CmpConfig::ispass05(16), Technology::itrs_65nm());
-    let modern = ExperimentalChip::from_spec(ChipSpec::ispass05(16), Technology::itrs_65nm());
+    let one_class = ChipSpec::ispass05(16);
+    let half = CoreClass {
+        count: 8,
+        ..one_class.classes[0].clone()
+    };
+    let split = ChipSpec {
+        classes: vec![half.clone(), half],
+        ..one_class.clone()
+    };
+    let split_chip = ExperimentalChip::from_spec(split, Technology::itrs_65nm());
+    let one_class_chip = ExperimentalChip::from_spec(one_class, Technology::itrs_65nm());
 
-    let legacy_journal = TempJournal::new("legacy");
+    let split_journal = TempJournal::new("split");
     let modern_journal = TempJournal::new("modern");
-    let legacy_report = legacy
+    let mut split_report = split_chip
         .sweep()
         .grid(spec(apps.clone(), counts.clone()))
         .serial()
-        .checkpoint(&legacy_journal.0)
+        .checkpoint(&split_journal.0)
         .run()
         .unwrap();
-    let modern_report = modern
+    let modern_report = one_class_chip
         .sweep()
         .grid(spec(apps, counts))
         .serial()
@@ -87,12 +97,21 @@ fn homogeneous_spec_is_byte_identical_to_legacy_config() {
         .run()
         .unwrap();
 
-    assert_eq!(report_bytes(&legacy_report), report_bytes(&modern_report));
-    // The journal (header fingerprint included) is byte-identical too: a
-    // pre-redesign journal resumes under the new API and vice versa.
-    let legacy_text = std::fs::read_to_string(&legacy_journal.0).unwrap();
+    // The split chip is tagged with its two classes; nothing else differs.
+    assert_eq!(
+        split_report.chip.as_deref(),
+        Some("ev6:8w4@1/1+ev6:8w4@1/1")
+    );
+    split_report.chip = None;
+    assert_eq!(report_bytes(&split_report), report_bytes(&modern_report));
+    // Past the header, whose fingerprint covers the tag, every journal
+    // record is byte-identical too.
+    let split_text = std::fs::read_to_string(&split_journal.0).unwrap();
     let modern_text = std::fs::read_to_string(&modern_journal.0).unwrap();
-    assert_eq!(legacy_text, modern_text);
+    assert_eq!(
+        split_text.lines().skip(1).collect::<Vec<_>>(),
+        modern_text.lines().skip(1).collect::<Vec<_>>()
+    );
     // Homogeneous chips carry no heterogeneity axis anywhere.
     assert!(modern_report.chip.is_none());
     assert!(!modern_report
