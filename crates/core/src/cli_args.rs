@@ -139,21 +139,7 @@ impl ChipArgs {
     pub fn parse(args: &mut Vec<String>) -> Result<Self, String> {
         let cores = match take_value(args, "--cores")? {
             None => None,
-            Some(list) => {
-                let mut counts = vec![1usize];
-                for part in list.split(',') {
-                    let n: usize = part
-                        .trim()
-                        .parse()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("bad --cores entry '{part}' (core count >= 1)"))?;
-                    counts.push(n);
-                }
-                counts.sort_unstable();
-                counts.dedup();
-                Some(counts)
-            }
+            Some(list) => Some(parse_core_counts("--cores entry", list.split(','))?),
         };
         let mut server_loads: Vec<u32> = Vec::new();
         while let Some(v) = take_value(args, "--server-load")? {
@@ -200,6 +186,40 @@ impl ChipArgs {
         }
         out
     }
+}
+
+/// Parses one core count (at least 1); `what` names the input in the
+/// error message.
+///
+/// # Errors
+///
+/// A human-readable message for a non-numeric or zero count.
+pub fn parse_core_count(what: &str, value: &str) -> Result<usize, String> {
+    value
+        .trim()
+        .parse()
+        .ok()
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| format!("bad {what} '{value}' (core count >= 1)"))
+}
+
+/// Parses a core-count axis: the `n = 1` anchor plus every count in
+/// `values`, sorted and deduplicated.
+///
+/// # Errors
+///
+/// As for [`parse_core_count`], on the first bad entry.
+pub fn parse_core_counts<'a>(
+    what: &str,
+    values: impl IntoIterator<Item = &'a str>,
+) -> Result<Vec<usize>, String> {
+    let mut counts = vec![1];
+    for value in values {
+        counts.push(parse_core_count(what, value)?);
+    }
+    counts.sort_unstable();
+    counts.dedup();
+    Ok(counts)
 }
 
 /// Parses `BIG:LITTLE` into a validated core mix (1..=1024 total).

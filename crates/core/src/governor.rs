@@ -3,11 +3,11 @@
 //! The pre-[`ChipSpec`](tlp_sim::ChipSpec) engine had exactly one
 //! policy, baked in: pick the Eq. 7 iso-performance operating point and
 //! keep it, whatever the thermal solve says. [`Governor`] makes that
-//! policy a value. [`ChipWide`] *is* the legacy behavior — it never
-//! adjusts, and the sweep engine skips the adjustment loop entirely when
-//! it is installed, so results stay byte-identical. [`ThermalAware`]
-//! reads the per-core equilibrium temperatures out of the fixpoint loop
-//! and walks the cell one rung down the DVFS ladder
+//! policy a value. The sweep cell consults the chip's governor after
+//! every measurement. [`ChipWide`] *is* the legacy behavior — it never
+//! adjusts, so its cells settle after the first measurement.
+//! [`ThermalAware`] reads the per-core equilibrium temperatures out of
+//! the fixpoint loop and walks the cell one rung down the DVFS ladder
 //! ([`DvfsTable::step_down`]) whenever the hottest core exceeds its
 //! threshold, re-simulating and re-measuring at the lower point until
 //! the chip is cool or the ladder floor is reached.
@@ -34,13 +34,6 @@ pub trait Governor: std::fmt::Debug + Send + Sync {
         table: &DvfsTable,
         op: OperatingPoint,
     ) -> Option<OperatingPoint>;
-
-    /// Whether this policy can ever adjust. The sweep engine skips the
-    /// adjustment loop for chip-wide policies, keeping the legacy code
-    /// path literally unchanged.
-    fn is_chip_wide(&self) -> bool {
-        false
-    }
 }
 
 /// The legacy policy: one chip-wide operating point, chosen up front and
@@ -61,10 +54,6 @@ impl Governor for ChipWide {
         _op: OperatingPoint,
     ) -> Option<OperatingPoint> {
         None
-    }
-
-    fn is_chip_wide(&self) -> bool {
-        true
     }
 }
 
@@ -126,7 +115,6 @@ mod tests {
     #[test]
     fn chip_wide_never_adjusts() {
         let g = ChipWide;
-        assert!(g.is_chip_wide());
         let table = table();
         let op = *table.iter().last().unwrap();
         assert_eq!(g.adjust(&[Celsius::new(500.0)], &table, op), None);
@@ -135,7 +123,6 @@ mod tests {
     #[test]
     fn thermal_aware_steps_down_only_when_hot() {
         let g = ThermalAware::new(Celsius::new(100.0));
-        assert!(!g.is_chip_wide());
         let table = table();
         let op = *table.iter().last().unwrap();
         // Cool chip: no adjustment.

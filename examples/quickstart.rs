@@ -49,7 +49,7 @@ fn main() {
         profile.efficiency_at(4)
     );
 
-    let fig3 = scenario1::run(&chip, &profile, Scale::Test, 42);
+    let fig3 = scenario1::run(&chip, app, &profile.core_counts, Scale::Test, 42);
     for row in &fig3.rows {
         println!(
             "Scenario I  {} on {} core(s): {:.2} GHz → {:>5.1} W \

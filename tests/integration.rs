@@ -14,9 +14,8 @@ fn chip() -> ExperimentalChip {
 fn full_pipeline_scenario1_on_three_apps() {
     let chip = chip();
     for app in [AppId::WaterSp, AppId::Fft, AppId::Volrend] {
-        let profile = profiling::profile(&chip, app, &[1, 2, 4], Scale::Test, 31);
-        let r = scenario1::run(&chip, &profile, Scale::Test, 31);
-        assert_eq!(r.rows.len(), profile.core_counts.len(), "{app}");
+        let r = scenario1::run(&chip, app, &[1, 2, 4], Scale::Test, 31);
+        assert_eq!(r.rows.len(), 3, "{app}");
         // Reference row is exact.
         assert!((r.rows[0].normalized_power - 1.0).abs() < 1e-9);
         // Every row's temperature sits between ambient and T_max plus a
@@ -37,11 +36,13 @@ fn full_pipeline_scenario1_on_three_apps() {
 fn scenario1_and_scenario2_share_the_profile() {
     let chip = chip();
     let profile = profiling::profile(&chip, AppId::Raytrace, &[1, 2], Scale::Test, 33);
-    let s1 = scenario1::run(&chip, &profile, Scale::Test, 33);
+    let s1 = scenario1::run(&chip, AppId::Raytrace, &[1, 2], Scale::Test, 33);
     let s2 = scenario2::run(&chip, &profile, Scale::Test, 33, None);
     assert_eq!(s1.rows.len(), 2);
     assert_eq!(s2.rows.len(), 2);
-    // Both scenarios agree on the nominal efficiency they consumed.
+    // Scenario I takes εn from the sweep's per-count profile runs and
+    // Scenario II from `profiling::profile`: the two must agree exactly.
+    assert_eq!(s1.rows[1].nominal_efficiency, profile.efficiency_at(2));
     assert!((s1.rows[1].nominal_efficiency * 2.0 - s2.rows[1].nominal_speedup).abs() < 1e-9);
 }
 
@@ -71,12 +72,34 @@ fn dvfs_runs_complete_and_slow_wall_clock() {
     // A Scenario-I rerun at reduced frequency must take longer in wall
     // clock than the same workload at nominal, but fewer or equal cycles.
     let chip = chip();
-    let profile = profiling::profile(&chip, AppId::Lu, &[1, 2], Scale::Test, 37);
-    let r = scenario1::run(&chip, &profile, Scale::Test, 37);
+    let r = scenario1::run(&chip, AppId::Lu, &[1, 2], Scale::Test, 37);
     let two = &r.rows[1];
     assert!(two.operating_point.frequency < chip.config().operating_point.frequency);
     // Iso-performance: wall-clock within a factor ~2 of the single-core
     // reference (exact equality is not expected — efficiency is measured
     // at nominal memory ratios).
     assert!(two.actual_speedup > 0.5 && two.actual_speedup < 2.5);
+}
+
+#[test]
+fn cli_rejects_unrunnable_core_counts_with_typed_errors() {
+    // Zero cores, a power-of-two application on an odd count, and more
+    // threads than the chip has cores: each is an error message and
+    // exit status 1, never a panic.
+    for args in [
+        &["profile", "fft", "0"][..],
+        &["scenario1", "ocean", "0"],
+        &["measure", "ocean", "3", "1.6"],
+        &["measure", "ocean", "0", "1.6"],
+        &["measure", "water-nsq", "64", "1.6"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cmp-tlp"))
+            .args(args)
+            .output()
+            .expect("spawn cmp-tlp");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }

@@ -114,8 +114,7 @@ fn fig3_power_savings_with_good_efficiency() {
     // "Given sufficient parallel efficiency, power consumption can be
     // effectively reduced as the number of participating cores increases"
     let chip = ExperimentalChip::from_spec(ChipSpec::ispass05(16), Technology::itrs_65nm());
-    let profile = profiling::profile(&chip, AppId::WaterNsq, &[1, 2, 4], Scale::Small, 51);
-    let r = scenario1::run(&chip, &profile, Scale::Small, 51);
+    let r = scenario1::run(&chip, AppId::WaterNsq, &[1, 2, 4], Scale::Small, 51);
     let p2 = r.rows.iter().find(|x| x.n == 2).unwrap().normalized_power;
     let p4 = r.rows.iter().find(|x| x.n == 4).unwrap().normalized_power;
     // "effectively reduced": well below the single-core power. The paper
@@ -133,8 +132,7 @@ fn fig3_memory_bound_apps_beat_iso_performance_target() {
     // processor-memory speed gap narrows, which benefits memory-bound
     // applications" — visible as actual speedups above 1 (Ocean).
     let chip = ExperimentalChip::from_spec(ChipSpec::ispass05(16), Technology::itrs_65nm());
-    let profile = profiling::profile(&chip, AppId::Ocean, &[1, 4], Scale::Test, 51);
-    let r = scenario1::run(&chip, &profile, Scale::Test, 51);
+    let r = scenario1::run(&chip, AppId::Ocean, &[1, 4], Scale::Test, 51);
     let four = r.rows.iter().find(|x| x.n == 4).unwrap();
     assert!(
         four.actual_speedup > 1.05,
@@ -146,8 +144,7 @@ fn fig3_memory_bound_apps_beat_iso_performance_target() {
 #[test]
 fn fig3_temperature_decreases_with_parallelism() {
     let chip = ExperimentalChip::from_spec(ChipSpec::ispass05(16), Technology::itrs_65nm());
-    let profile = profiling::profile(&chip, AppId::Fmm, &[1, 4], Scale::Test, 53);
-    let r = scenario1::run(&chip, &profile, Scale::Test, 53);
+    let r = scenario1::run(&chip, AppId::Fmm, &[1, 4], Scale::Test, 53);
     assert!(
         r.rows[1].temperature_c < r.rows[0].temperature_c - 5.0,
         "temperatures {} vs {}",
