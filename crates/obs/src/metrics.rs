@@ -242,6 +242,12 @@ counters! { COUNTERS, new;
     /// had applied in closed form when caught up, instead of being
     /// stepped one by one.
     SIM_CORE_CYCLES_PARKED => "sim.core_cycles_parked",
+    /// Snoops the modeled bus charged: `snoop_probes + snoops_filtered`,
+    /// n − 1 per snooping bus transaction on n active cores.
+    SIM_SNOOPS_CHARGED => "sim.snoops_charged",
+    /// Remote L1 tag lookups the host performed for snoops,
+    /// invalidations and back-invalidations (host work, not charged).
+    SIM_SNOOP_TAG_LOOKUPS => "sim.snoop_tag_lookups",
     /// Instructions retired chip-wide.
     SIM_INSTRUCTIONS => "sim.instructions_retired",
     /// Cycles cores spent spinning or asleep at barriers and locks.
