@@ -481,6 +481,25 @@ impl FsJobStore {
         fs::rename(&tmp, &path).map_err(|e| self.io_err(&path, e))
     }
 
+    /// The highest sequence number in the store (0 when empty), read from
+    /// the `j{seq:06}.job.json` names [`JobStore::create`] gives every
+    /// record, so no record is opened.
+    fn last_seq(&self) -> Result<u64, JobStoreError> {
+        let entries = fs::read_dir(&self.dir).map_err(|e| self.io_err(&self.dir, e))?;
+        let mut last = 0;
+        for entry in entries {
+            let entry = entry.map_err(|e| self.io_err(&self.dir, e))?;
+            let seq = entry
+                .file_name()
+                .to_str()
+                .and_then(|name| name.strip_suffix(".job.json"))
+                .and_then(|id| id.strip_prefix('j'))
+                .and_then(|digits| digits.parse::<u64>().ok());
+            last = last.max(seq.unwrap_or(0));
+        }
+        Ok(last)
+    }
+
     fn scan(&self) -> Result<BTreeMap<u64, Versioned<JobRecord>>, JobStoreError> {
         let mut jobs = BTreeMap::new();
         let entries = fs::read_dir(&self.dir).map_err(|e| self.io_err(&self.dir, e))?;
@@ -501,7 +520,7 @@ impl FsJobStore {
 impl JobStore for FsJobStore {
     fn create(&self, mut record: JobRecord) -> Result<Versioned<JobRecord>, JobStoreError> {
         let _guard = self.lock.lock().expect("job store lock poisoned");
-        let next_seq = self.scan()?.keys().next_back().copied().unwrap_or(0) + 1;
+        let next_seq = self.last_seq()? + 1;
         record.seq = next_seq;
         record.id = format!("j{next_seq:06}");
         self.write_record(&record, 1)?;
@@ -753,6 +772,22 @@ mod tests {
         assert_eq!(b.value.id, "j000002");
         assert_eq!(b.value.seq, 2);
         assert_eq!(a.version, 1);
+    }
+
+    #[test]
+    fn create_reads_the_next_id_from_file_names_not_records() {
+        let dir = temp_dir("corrupt-create");
+        let store = FsJobStore::open(&dir).unwrap();
+        store.create(record()).unwrap();
+        fs::write(dir.join("j000005.job.json"), "{ not a record").unwrap();
+        let created = store.create(record()).unwrap();
+        assert_eq!(created.value.id, "j000006");
+        assert_eq!(created.value.seq, 6);
+        // `list` still parses every record, so it reports the corrupt one.
+        assert!(matches!(
+            store.list().unwrap_err(),
+            JobStoreError::Corrupt { .. }
+        ));
     }
 
     #[test]
