@@ -1,8 +1,6 @@
-//! Shared helpers for the figure-regeneration binaries and the
-//! micro-benchmarks. See DESIGN.md §3 for the experiment index mapping
-//! each binary to a table or figure of the paper.
-
-pub mod harness;
+//! Shared helpers for the figure-regeneration binaries. See DESIGN.md §3
+//! for the experiment index mapping each binary to a table or figure of
+//! the paper.
 
 use cmp_tlp::cli_args::{CommonArgs, ScaleDefault};
 use tlp_workloads::Scale;
