@@ -401,7 +401,7 @@ impl Core {
                     self.stats.loads += 1;
                     budget -= 1;
                     issued_any = true;
-                    if done > now + mem.l1_latency() {
+                    if done > now + mem.l1_latency(self.id) {
                         self.state = CoreState::StallUntil {
                             until: done,
                             memory: true,
@@ -471,7 +471,7 @@ impl Core {
                     if sync.try_acquire(id, self.id) {
                         let done = mem.access(self.id, Self::lock_addr(id), AccessKind::Write, now);
                         self.stats.stores += 1;
-                        if done > now + mem.l1_latency() {
+                        if done > now + mem.l1_latency(self.id) {
                             self.state = CoreState::StallUntil {
                                 until: done,
                                 memory: true,
