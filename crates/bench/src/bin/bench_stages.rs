@@ -3,10 +3,10 @@
 //! Wall-clock is meaningless on a one-CPU CI container, so this
 //! benchmark regresses on *counters* instead: simulated cycles that had
 //! to be stepped one-by-one vs. jumped over with every core parked, core
-//! cycles skipped by parked cores, linear-solver
-//! structural flops per thermal solve, fixpoint iterations, and sweep
-//! cell outcomes. Every number is deterministic for a given seed and
-//! scale, so the thresholds below are enforced in-process: the binary
+//! cycles skipped by parked cores, LU factorizations and solves per
+//! thermal measurement, fixpoint iterations, and sweep cell outcomes.
+//! Every number is deterministic for a given seed and scale, so the
+//! thresholds below are enforced in-process: the binary
 //! writes `BENCH_stages.json` at the repository root and exits non-zero
 //! if any stage regressed past its bound.
 //!
@@ -17,9 +17,7 @@ use tlp_bench::SEED;
 use tlp_sim::config::SleepPolicy;
 use tlp_sim::{CmpConfig, CmpSimulator};
 use tlp_tech::json::Json;
-use tlp_tech::units::{Celsius, Watts};
 use tlp_tech::Technology;
-use tlp_thermal::{Floorplan, PackageParams, RcNetwork};
 use tlp_workloads::gang;
 
 /// Pulls a counter out of a capture, defaulting to zero (absent means
@@ -152,51 +150,12 @@ fn sim_stage(violations: &mut Vec<String>) -> Json {
     ])
 }
 
-/// Stage 2: the thermal solver work. Banded/profile elimination must
-/// engage on the CMP floorplan networks and cut the structural flops
-/// per factorization and per solve well below the dense counts; the
+/// Stage 2: the thermal solver work behind `ExperimentalChip::measure`.
+/// Each core tile's LU factorization is built with the chip, so a
+/// measurement must only solve against the cached factors (zero
+/// `linalg.lu_factors`, at least one `linalg.lu_solves`), and the
 /// power↔temperature fixpoint must stay within its iteration budget.
 fn thermal_stage(violations: &mut Vec<String>) -> Json {
-    const SOLVES: u64 = 32;
-    let floorplan = Floorplan::ispass_cmp(16, 15.6, 15.6);
-    let n = (floorplan.blocks().len() + 2) as u64;
-    let ((), trace) = tlp_obs::capture(|| {
-        let net = RcNetwork::build(&floorplan, &PackageParams::default());
-        assert!(net.uses_banded_solver(), "16-core network must go banded");
-        let powers: Vec<Watts> = (0..net.n_blocks())
-            .map(|i| Watts::new(0.1 + 0.01 * i as f64))
-            .collect();
-        for _ in 0..SOLVES {
-            let _ = net.steady_state(&powers, Celsius::new(45.0));
-        }
-    });
-    let factor_flops = counter(&trace, "linalg.factor_flops");
-    let solve_flops = counter(&trace, "linalg.solve_flops");
-    let banded_solves = counter(&trace, "linalg.banded_solves");
-    let dense_factor_flops = (n - 1) * n * (n + 1) / 3;
-    let factor_fraction = factor_flops as f64 / dense_factor_flops as f64;
-    let solve_fraction = (solve_flops as f64 / banded_solves.max(1) as f64) / (n * n) as f64;
-    if banded_solves < SOLVES {
-        violations.push(format!(
-            "thermal: only {banded_solves} of {SOLVES} steady solves took the banded path"
-        ));
-    }
-    // Measured on the 163-node network: factoring costs ~2% of dense,
-    // each solve ~15% of the dense n² back-substitution.
-    if factor_fraction > 0.10 {
-        violations.push(format!(
-            "thermal: factor flops are {factor_fraction:.3} of dense (> 0.10)"
-        ));
-    }
-    if solve_fraction > 0.5 {
-        violations.push(format!(
-            "thermal: per-solve flops are {solve_fraction:.3} of dense n² (> 0.5)"
-        ));
-    }
-
-    // The real measurement pipeline: per-tile fixpoints behind
-    // ExperimentalChip::measure must converge briskly and also ride the
-    // banded solver.
     let chip = ExperimentalChip::from_spec(ChipSpec::ispass05(16), Technology::itrs_65nm());
     let result = chip.run(
         gang(AppId::WaterNsq, 4, Scale::Test, SEED),
@@ -207,13 +166,17 @@ fn thermal_stage(violations: &mut Vec<String>) -> Json {
     });
     let fixpoint_iterations = counter(&fix_trace, "thermal.fixpoint_iterations");
     let steady_solves = counter(&fix_trace, "thermal.steady_solves");
-    let fixpoint_banded = counter(&fix_trace, "linalg.banded_solves");
+    let lu_factors = counter(&fix_trace, "linalg.lu_factors");
+    let lu_solves = counter(&fix_trace, "linalg.lu_solves");
     let iters_per_solve = fixpoint_iterations as f64 / steady_solves.max(1) as f64;
     if steady_solves == 0 {
         violations.push("thermal: the measurement ran no steady solves".into());
     }
-    if fixpoint_banded == 0 {
-        violations.push("thermal: the fixpoint pipeline never used the banded solver".into());
+    if lu_factors > 0 || lu_solves == 0 {
+        violations.push(format!(
+            "thermal: the measurement made {lu_factors} LU factorizations and {lu_solves} \
+             solves; it should only solve against the tiles' cached factors"
+        ));
     }
     // The damped fixpoint historically converges in a handful of
     // iterations per tile; 12 is far outside normal.
@@ -223,21 +186,15 @@ fn thermal_stage(violations: &mut Vec<String>) -> Json {
         ));
     }
     eprintln!(
-        "  thermal : factor {:.3}x dense, solve {:.3}x dense, \
-         {fixpoint_iterations} fixpoint iters over {steady_solves} solves",
-        factor_fraction, solve_fraction
+        "  thermal : {fixpoint_iterations} fixpoint iters over {steady_solves} solves, \
+         {lu_factors} LU factorizations, {lu_solves} LU solves"
     );
     Json::object([
-        ("nodes", Json::from(n)),
-        ("steady_solves", Json::from(SOLVES)),
-        ("banded_solves", Json::from(banded_solves)),
-        ("factor_flops", Json::from(factor_flops)),
-        ("factor_fraction_of_dense", Json::from(factor_fraction)),
-        ("solve_flops", Json::from(solve_flops)),
-        ("solve_fraction_of_dense", Json::from(solve_fraction)),
         ("fixpoint_iterations", Json::from(fixpoint_iterations)),
         ("fixpoint_steady_solves", Json::from(steady_solves)),
         ("fixpoint_iters_per_solve", Json::from(iters_per_solve)),
+        ("lu_factors", Json::from(lu_factors)),
+        ("lu_solves", Json::from(lu_solves)),
     ])
 }
 

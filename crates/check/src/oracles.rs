@@ -10,10 +10,7 @@
 //!    [`solve_dense`] calls, bit-identical, on real thermal conductance
 //!    matrices and on randomized well- and ill-conditioned RC-like
 //!    systems (singular verdicts must agree too).
-//! 3. [`sparse_vs_dense`] — the profile/banded elimination vs. the dense
-//!    path on the same system distribution: identical solves wherever
-//!    the banded path engages, agreeing refusal verdicts elsewhere.
-//! 4. [`thermal_transient`] — the steady-state linear solve vs. a
+//! 3. [`thermal_transient`] — the steady-state linear solve vs. a
 //!    long-horizon implicit-Euler transient march on the same network:
 //!    two different numerical routes to the same equilibrium.
 //!
@@ -24,9 +21,7 @@
 use std::sync::OnceLock;
 
 use tlp_tech::leakage::{fit, FittedLeakage, ReferenceLeakage};
-use tlp_tech::linalg::{
-    solve_dense, BandedFactorization, Factorization, LinalgError, LuFactorization,
-};
+use tlp_tech::linalg::{solve_dense, LinalgError, LuFactorization};
 use tlp_tech::units::{Celsius, Seconds, Volts, Watts};
 use tlp_tech::{ProcessNode, Technology};
 use tlp_thermal::{Floorplan, PackageParams, RcNetwork};
@@ -268,7 +263,7 @@ fn lu_check(sys: &LinearSystem) -> Result<(), String> {
     Ok(())
 }
 
-/// Oracle 3: cached [`LuFactorization`] vs. fresh [`solve_dense`] on
+/// Oracle 2: cached [`LuFactorization`] vs. fresh [`solve_dense`] on
 /// random well- and ill-conditioned thermal-style systems: bit-identical
 /// solutions, agreeing singularity verdicts, small residuals.
 pub fn lu_solve() -> Property {
@@ -278,79 +273,6 @@ pub fn lu_solve() -> Property {
         gen_linear_system,
         shrink_linear_system,
         lu_check,
-    )
-}
-
-fn sparse_vs_dense_check(sys: &LinearSystem) -> Result<(), String> {
-    // Direct differential: when the profile path accepts a matrix, its
-    // solves must be indistinguishable from the dense ones; when it
-    // refuses with PivotingRequired the dense fallback takes over, and a
-    // Singular verdict must agree with dense exactly.
-    let banded = BandedFactorization::factor(sys.n, &sys.a);
-    let dense = LuFactorization::factor(sys.n, &sys.a);
-    match (&banded, &dense) {
-        (Ok(b), Ok(d)) => {
-            for (k, rhs) in sys.rhs.iter().enumerate() {
-                let xb = b.solve(rhs);
-                let xd = d.solve(rhs);
-                if xb != xd {
-                    return Err(format!(
-                        "rhs {k}: banded solve diverges from dense: {xb:?} vs {xd:?}"
-                    ));
-                }
-            }
-        }
-        // The profile path may decline (dense then pivots its own way,
-        // solvable or not) — but it must never accept what dense rejects,
-        // and Singular must mean Singular on both sides.
-        (Err(LinalgError::PivotingRequired { .. }), _) => {}
-        (Err(LinalgError::Singular { .. }), Err(LinalgError::Singular { .. })) => {}
-        (b, d) => {
-            return Err(format!(
-                "banded and dense verdicts disagree: {:?} vs {:?}",
-                b.as_ref().map(|_| "ok"),
-                d.as_ref().map(|_| "ok"),
-            ));
-        }
-    }
-    // Integration: the auto-selected factorization — whichever arm it
-    // picks — must match fresh one-shot dense solves bit-for-bit.
-    let auto = Factorization::auto(sys.n, &sys.a);
-    for (k, rhs) in sys.rhs.iter().enumerate() {
-        match (&auto, solve_dense(sys.n, &sys.a, rhs)) {
-            (Ok(f), Ok(fresh)) => {
-                let x = f.solve(rhs);
-                if x != fresh {
-                    return Err(format!(
-                        "rhs {k}: Factorization::auto ({}) diverges from solve_dense: {x:?} vs {fresh:?}",
-                        if f.is_banded() { "banded" } else { "dense" }
-                    ));
-                }
-            }
-            (Err(LinalgError::Singular { .. }), Err(LinalgError::Singular { .. })) => {}
-            (f, s) => {
-                return Err(format!(
-                    "rhs {k}: auto and solve_dense disagree on solvability: {:?} vs {s:?}",
-                    f.as_ref().map(|_| "ok"),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Oracle 3b: [`BandedFactorization`] (profile elimination with a
-/// dense-pivoting tail) vs. the dense path on the same randomized
-/// systems as [`lu_solve`] — identical solves whenever the banded path
-/// accepts, agreeing verdicts whenever it refuses, and
-/// [`Factorization::auto`] indistinguishable from [`solve_dense`].
-pub fn sparse_vs_dense() -> Property {
-    Property::new(
-        "sparse-vs-dense",
-        "profile/banded elimination is indistinguishable from dense LU wherever it engages, and declines loudly elsewhere",
-        gen_linear_system,
-        shrink_linear_system,
-        sparse_vs_dense_check,
     )
 }
 
@@ -443,7 +365,7 @@ fn thermal_check(s: &ThermalScenario) -> Result<(), String> {
     Ok(())
 }
 
-/// Oracle 4: thermal steady-state solution vs. long-horizon transient
+/// Oracle 3: thermal steady-state solution vs. long-horizon transient
 /// convergence — the direct linear solve and the implicit-Euler march
 /// must land on the same equilibrium.
 pub fn thermal_transient() -> Property {
@@ -459,12 +381,7 @@ pub fn thermal_transient() -> Property {
 /// The physics-layer oracle suite. The experiment-layer oracles join in
 /// `cmp_tlp::checks::suite`.
 pub fn physics_suite() -> Vec<Property> {
-    vec![
-        leakage_fit(),
-        lu_solve(),
-        sparse_vs_dense(),
-        thermal_transient(),
-    ]
+    vec![leakage_fit(), lu_solve(), thermal_transient()]
 }
 
 #[cfg(test)]

@@ -262,7 +262,7 @@ fn sweep_check(c: &SweepCase) -> Result<(), String> {
     Ok(())
 }
 
-/// Oracle 2: serial vs. parallel sweep byte-identity over randomized
+/// Oracle 5: serial vs. parallel sweep byte-identity over randomized
 /// grids, thread counts, and injected faults.
 pub fn sweep_determinism() -> Property {
     Property::new(
@@ -431,7 +431,7 @@ fn resume_check(c: &ResumeCase) -> Result<(), String> {
     Ok(())
 }
 
-/// Oracle 6: kill-and-resume byte-identity. A checkpointed sweep whose
+/// Oracle 7: kill-and-resume byte-identity. A checkpointed sweep whose
 /// journal loses a random suffix (and may gain a torn tail) must, after
 /// resume, report exactly what the uninterrupted sweep reports — and so
 /// must a second, fully-spliced resume.
@@ -510,7 +510,7 @@ fn hetero_identity_check(c: &SweepCase) -> Result<(), String> {
     Ok(())
 }
 
-/// Oracle 12: the one-code-path invariant. A sweep on the one-class
+/// Oracle 8: the one-code-path invariant. A sweep on the one-class
 /// `ChipSpec::ispass05(16)` must be byte-identical — report `Debug`,
 /// report JSON, and every journal record past the header — to the same
 /// sweep on the same hardware split into two identical 8-core classes,
@@ -652,7 +652,7 @@ fn matched_check(p: &MatchedPoint) -> Result<(), String> {
     }
 }
 
-/// Oracle 5: analytic Scenario-I normalized power vs. the experimental
+/// Oracle 6: analytic Scenario-I normalized power vs. the experimental
 /// re-simulation (a one-row sweep) at the same measured efficiency,
 /// within a bounded tolerance.
 pub fn analytic_vs_sim() -> Property {
@@ -798,7 +798,7 @@ fn http_fuzz_check(c: &HttpFuzzCase) -> Result<(), String> {
     }
 }
 
-/// Oracle 7: the serve HTTP parser under mutation — truncations, bit
+/// Oracle 9: the serve HTTP parser under mutation — truncations, bit
 /// flips, and trailing garbage must produce typed rejections that
 /// render as well-formed 4xx/5xx status lines, never panics.
 pub fn serve_http_parser() -> Property {
@@ -934,7 +934,7 @@ fn shard_merge_check(c: &ShardCase) -> Result<(), String> {
     Ok(())
 }
 
-/// Oracle 13: shard-merge identity. A sweep cut into leased ranges and
+/// Oracle 12: shard-merge identity. A sweep cut into leased ranges and
 /// driven to completion under distribution-layer chaos — worker kills,
 /// duplicate and zombie uploads, torn transfers — must merge to a
 /// report byte-identical to an undisturbed single-process run.
@@ -979,7 +979,6 @@ mod tests {
             [
                 "leakage-fit",
                 "lu-solve",
-                "sparse-vs-dense",
                 "thermal-transient",
                 "fast-forward-identity",
                 "sweep-determinism",

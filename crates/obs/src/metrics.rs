@@ -272,16 +272,6 @@ counters! { COUNTERS, new;
     LINALG_LU_FACTORS => "linalg.lu_factors",
     /// Back-substitution solves against a cached factorization (O(n²)).
     LINALG_LU_SOLVES => "linalg.lu_solves",
-    /// Profile (banded/envelope) factorizations.
-    LINALG_BANDED_FACTORS => "linalg.banded_factors",
-    /// Envelope-restricted solves against a cached profile factorization.
-    LINALG_BANDED_SOLVES => "linalg.banded_solves",
-    /// Structural multiply-add upper bound spent in factorizations (a
-    /// deterministic flops proxy: dense counts the full triangle, profile
-    /// counts only its envelope).
-    LINALG_FACTOR_FLOPS => "linalg.factor_flops",
-    /// Structural multiply-add upper bound spent in triangular solves.
-    LINALG_SOLVE_FLOPS => "linalg.solve_flops",
     /// Dynamic-power breakdowns computed by the power model.
     POWER_BREAKDOWNS => "power.breakdowns",
     /// Analytic scenario operating points solved.

@@ -3,7 +3,8 @@
 //!
 //! These routines are intentionally minimal: the technology models only
 //! ever solve small (≤ 8×8) systems arising from least-squares normal
-//! equations, and the thermal RC networks top out at a few dozen nodes.
+//! equations, and every thermal RC network the chip model solves is one
+//! 12-node core tile (ten EV6 blocks, the spreader and the sink).
 //!
 //! The workhorse is [`LuFactorization`]: an LU decomposition with partial
 //! pivoting that is computed once (O(n³)) and then reused for any number
@@ -48,14 +49,6 @@ pub enum LinalgError {
         /// Dimension of the offending system.
         n: usize,
     },
-    /// Pivot-free profile elimination would diverge from the dense path:
-    /// at some column the diagonal does not strictly dominate the
-    /// subdiagonal, so dense partial pivoting would swap rows there.
-    /// Callers fall back to [`LuFactorization`], which handles it.
-    PivotingRequired {
-        /// Dimension of the offending system.
-        n: usize,
-    },
 }
 
 impl fmt::Display for LinalgError {
@@ -71,12 +64,6 @@ impl fmt::Display for LinalgError {
             ),
             LinalgError::Singular { n } => {
                 write!(f, "{n}×{n} matrix is numerically singular")
-            }
-            LinalgError::PivotingRequired { n } => {
-                write!(
-                    f,
-                    "{n}×{n} matrix needs row pivoting; profile elimination declined it"
-                )
             }
         }
     }
@@ -185,11 +172,6 @@ impl LuFactorization {
         }
         tlp_obs::metrics::LINALG_LU_FACTORS.incr();
         tlp_obs::metrics::HIST_LU_DIMENSION.record(n as u64);
-        // Structural multiply-add count of dense elimination: column `col`
-        // updates (n-1-col) rows over (n-col) entries each (division
-        // included), i.e. Σ m·(m+1) for m = 1..n-1.
-        let nn = n as u64;
-        tlp_obs::metrics::LINALG_FACTOR_FLOPS.add((nn - 1) * nn * (nn + 1) / 3);
         Ok(Self { n, lu, perm })
     }
 
@@ -207,7 +189,6 @@ impl LuFactorization {
     /// programming error, not an input condition.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         tlp_obs::metrics::LINALG_LU_SOLVES.incr();
-        tlp_obs::metrics::LINALG_SOLVE_FLOPS.add((self.n * self.n) as u64);
         let n = self.n;
         assert_eq!(b.len(), n, "rhs must have length n");
         // Apply the row permutation, then forward-substitute L (unit
@@ -232,529 +213,6 @@ impl LuFactorization {
         }
         x
     }
-}
-
-/// A pivot-free LU factorization restricted to the matrix envelope
-/// (profile elimination in the natural row order).
-///
-/// The thermal RC matrices couple each node only to its floorplan
-/// neighbours, so almost every entry outside a narrow band around the
-/// diagonal is zero and stays zero during elimination (profile fill is
-/// confined to the envelope). Skipping the structural zeros cuts the
-/// factorization from the dense n³/3 multiply-adds to roughly
-/// Σ|succ(col)|² and each solve from n² to ~2·profile — for the 16-core
-/// ISPASS floorplan (163 thermal nodes) that is a >5× factor-work and
-/// ~2× solve-work reduction.
-///
-/// Three properties make it safe to swap in for [`LuFactorization`]:
-///
-/// - **Bit-identity.** Elimination runs in the natural order over the
-///   same entries in the same sequence as the dense path, merely skipping
-///   positions the dense path would update with an exactly-zero factor
-///   (its own `factor == 0.0` short-circuit). While the diagonal strictly
-///   dominates every subdiagonal magnitude, the dense path provably never
-///   pivots, and both produce bitwise-identical factors.
-/// - **Pivoting tail.** The thermal steady-state matrices are grounded
-///   Laplacians: every row sums to zero except the sink's, which makes
-///   the dense path tie — and dense ties swap (last maximum wins) — in
-///   the last two or three columns, where the heat-spreader and sink
-///   nodes are eliminated. When strict dominance first fails inside the
-///   trailing `n/4` columns, the remaining trailing block is eliminated
-///   with *exactly* the dense algorithm — same pivot election, same
-///   full-row swaps, same update order — so factors and verdicts stay
-///   bitwise-dense even on matrices that genuinely pivot at the end. The
-///   tail is O(tail²·n) work on an O(1)-sized tail: the envelope savings
-///   survive intact.
-/// - **Verdict agreement.** A dominance failure *before* the trailing
-///   block is refused with [`LinalgError::PivotingRequired`]; callers
-///   fall back to the dense path via [`Factorization::auto`]. A column
-///   with no usable pivot at all is [`LinalgError::Singular`] — the same
-///   verdict dense would reach. The `sparse-vs-dense` oracle in
-///   `tlp-check` pins the agreement.
-///
-/// Storage stays a dense n×n buffer: the win on these small systems is
-/// arithmetic, not memory, and the flat buffer keeps indexing identical
-/// to the dense code it mirrors.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BandedFactorization {
-    n: usize,
-    /// Packed factors, row-major, same layout as [`LuFactorization`]:
-    /// entries outside the envelope are untouched copies of the input
-    /// (structurally zero and never read back).
-    lu: Vec<f64>,
-    /// `lstart[i]`: first possibly-nonzero L column of the row currently
-    /// in buffer position `i`. Starts as the envelope `first[]` of the
-    /// symmetrized pattern and is swapped alongside tail row swaps.
-    lstart: Vec<usize>,
-    /// `succ[col]`: ascending rows `r > col` with `first[r] <= col` — the
-    /// rows eliminated against column `col`, and simultaneously the
-    /// envelope columns of row `col` in U.
-    succ: Vec<Vec<u32>>,
-    /// First column eliminated by the dense-pivoting tail (`n` when the
-    /// whole matrix was profile-eliminated).
-    split: usize,
-    /// Row permutation from tail pivoting: `perm[i]` is the original row
-    /// now in position `i`. Identity outside `split..n`.
-    perm: Vec<usize>,
-    /// Structural multiply-adds per solve (precomputed from the envelope
-    /// and the tail extent).
-    solve_ops: u64,
-}
-
-/// `first[i]` = column of the first structural nonzero of row `i` under
-/// the symmetrized pattern, or `i` when the strict lower row is empty.
-fn envelope_first(n: usize, a: &[f64]) -> Vec<usize> {
-    (0..n)
-        .map(|i| {
-            (0..i)
-                .find(|&j| a[i * n + j] != 0.0 || a[j * n + i] != 0.0)
-                .unwrap_or(i)
-        })
-        .collect()
-}
-
-impl BandedFactorization {
-    /// Factors the row-major `n×n` matrix `a` by profile elimination in
-    /// the natural order, finishing with a dense-pivoting tail if the
-    /// trailing `n/4` columns need row swaps.
-    ///
-    /// # Errors
-    ///
-    /// - [`LinalgError::ShapeMismatch`] if `a.len() != n*n` or `n == 0`.
-    /// - [`LinalgError::PivotingRequired`] if the dense path would swap
-    ///   rows (a subdiagonal magnitude ties or beats the diagonal while
-    ///   still being a usable pivot) earlier than the trailing `n/4`
-    ///   columns the pivoting tail is willing to absorb.
-    /// - [`LinalgError::Singular`] under exactly the conditions the dense
-    ///   path would report it: the best available pivot in the column
-    ///   fails the scaled tolerance.
-    pub fn factor(n: usize, a: &[f64]) -> Result<Self, LinalgError> {
-        if n == 0 || a.len() != n * n {
-            return Err(LinalgError::ShapeMismatch {
-                what: "matrix",
-                expected: n * n,
-                got: a.len(),
-            });
-        }
-        let first = envelope_first(n, a);
-        let mut succ: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (r, &f) in first.iter().enumerate() {
-            for s in succ.iter_mut().take(r).skip(f) {
-                s.push(r as u32);
-            }
-        }
-
-        let mut lu = a.to_vec();
-        // Same scaled pivot tolerance as the dense path.
-        let scale = lu
-            .iter()
-            .map(|x| x.abs())
-            .filter(|x| x.is_finite())
-            .fold(0.0, f64::max);
-        let threshold = PIVOT_RTOL * scale;
-        let mag = |x: f64| {
-            let a = x.abs();
-            if a.is_nan() {
-                f64::NEG_INFINITY
-            } else {
-                a
-            }
-        };
-
-        let mut lstart = first;
-        let mut perm: Vec<usize> = (0..n).collect();
-        // How late a dominance failure may arrive and still be absorbed by
-        // the dense-pivoting tail instead of refusing the matrix outright.
-        let tail_budget = n / 4;
-        let mut split = n;
-        let mut factor_ops: u64 = 0;
-        for col in 0..n {
-            let dmag = mag(lu[col * n + col]);
-            // Largest subdiagonal magnitude in the column. Rows below the
-            // envelope hold exact zeros, so their presence contributes
-            // magnitude 0.0; with no rows below at all the column cannot
-            // force a swap (NEG_INFINITY loses to everything).
-            let mut below = if col + 1 < n { 0.0 } else { f64::NEG_INFINITY };
-            for &r in &succ[col] {
-                below = below.max(mag(lu[r as usize * n + col]));
-            }
-            if below >= dmag {
-                // Dense partial pivoting keeps the *last* maximum, so a
-                // tie with the diagonal swaps too (grounded Laplacians tie
-                // exactly when the spreader is eliminated). If the swap
-                // lands inside the tail budget the dense tail below
-                // replicates it; a usable pivot earlier than that is
-                // refused, and an unusable column is Singular — the dense
-                // verdict.
-                if !(below.is_finite() && below > threshold) {
-                    return Err(LinalgError::Singular { n });
-                }
-                if n - col > tail_budget {
-                    return Err(LinalgError::PivotingRequired { n });
-                }
-                split = col;
-                break;
-            }
-            let pivot_abs = lu[col * n + col].abs();
-            if !(pivot_abs.is_finite() && pivot_abs > threshold) {
-                return Err(LinalgError::Singular { n });
-            }
-            let pivot = lu[col * n + col];
-            let w = succ[col].len() as u64;
-            factor_ops += w * (w + 2);
-            for i in 0..succ[col].len() {
-                let row = succ[col][i] as usize;
-                let factor = lu[row * n + col] / pivot;
-                lu[row * n + col] = factor;
-                if factor == 0.0 {
-                    continue;
-                }
-                // U's row `col` is zero outside succ(col) (by symmetry of
-                // the envelope), so the skipped dense iterations subtract
-                // exact zeros. Fill lands inside the envelope: row ∈
-                // succ(col) means first[row] <= col <= every k here.
-                for &k in &succ[col] {
-                    let k = k as usize;
-                    lu[row * n + k] -= factor * lu[col * n + k];
-                }
-            }
-        }
-
-        // Dense-pivoting tail: verbatim the LuFactorization elimination
-        // over the remaining columns. At this point the buffer matches the
-        // dense path's bitwise everywhere the dense path could still read
-        // (positions below the envelope differ only in holding +0.0 input
-        // copies where dense stored exactly-zero L factors), so electing
-        // pivots by the same last-max rule and swapping whole rows keeps
-        // every subsequent value — and the Singular verdict — identical.
-        for col in split..n {
-            let pivot_row = (col..n)
-                .max_by(|&i, &j| mag(lu[i * n + col]).total_cmp(&mag(lu[j * n + col])))
-                .expect("non-empty pivot candidates");
-            let pivot_abs = lu[pivot_row * n + col].abs();
-            if !(pivot_abs.is_finite() && pivot_abs > threshold) {
-                return Err(LinalgError::Singular { n });
-            }
-            if pivot_row != col {
-                for k in 0..n {
-                    lu.swap(col * n + k, pivot_row * n + k);
-                }
-                perm.swap(col, pivot_row);
-                lstart.swap(col, pivot_row);
-            }
-            let pivot = lu[col * n + col];
-            let m = (n - 1 - col) as u64;
-            factor_ops += m * (m + 1);
-            for row in (col + 1)..n {
-                let factor = lu[row * n + col] / pivot;
-                lu[row * n + col] = factor;
-                if factor == 0.0 {
-                    continue;
-                }
-                for k in (col + 1)..n {
-                    lu[row * n + k] -= factor * lu[col * n + k];
-                }
-            }
-        }
-
-        // Structural multiply-adds of one solve: L over each row's extent,
-        // U over succ(row) (or the dense trailing row inside the tail),
-        // plus n diagonal divisions.
-        let mut solve_ops = n as u64;
-        for row in 0..n {
-            let start = if row > split {
-                lstart[row].min(split)
-            } else {
-                lstart[row]
-            };
-            solve_ops += (row - start) as u64;
-            solve_ops += if row >= split {
-                (n - 1 - row) as u64
-            } else {
-                succ[row].len() as u64
-            };
-        }
-        tlp_obs::metrics::LINALG_BANDED_FACTORS.incr();
-        tlp_obs::metrics::HIST_LU_DIMENSION.record(n as u64);
-        tlp_obs::metrics::LINALG_FACTOR_FLOPS.add(factor_ops);
-        Ok(Self {
-            n,
-            lu,
-            lstart,
-            succ,
-            split,
-            perm,
-            solve_ops,
-        })
-    }
-
-    /// Matrix dimension.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Solves `A·x = b` over the envelope (O(profile) per solve, plus the
-    /// dense trailing rows when a pivoting tail was needed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != self.n()`, matching
-    /// [`LuFactorization::solve`].
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        tlp_obs::metrics::LINALG_BANDED_SOLVES.incr();
-        tlp_obs::metrics::LINALG_SOLVE_FLOPS.add(self.solve_ops);
-        let n = self.n;
-        assert_eq!(b.len(), n, "rhs must have length n");
-        // Apply the (mostly identity) tail permutation, forward-substitute
-        // L over each row's extent, back-substitute U over succ(row) — the
-        // same arithmetic as the dense path minus its exact zeros. Rows at
-        // or past the split carry dense tail factors from `split` onward
-        // in addition to their (possibly swapped-in) envelope prefix.
-        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
-        for row in 1..n {
-            let start = if row > self.split {
-                self.lstart[row].min(self.split)
-            } else {
-                self.lstart[row]
-            };
-            let mut acc = x[row];
-            for (k, xk) in x.iter().enumerate().take(row).skip(start) {
-                acc -= self.lu[row * n + k] * xk;
-            }
-            x[row] = acc;
-        }
-        for row in (0..n).rev() {
-            let mut acc = x[row];
-            if row >= self.split {
-                for (k, xk) in x.iter().enumerate().skip(row + 1) {
-                    acc -= self.lu[row * n + k] * xk;
-                }
-            } else {
-                for &k in &self.succ[row] {
-                    acc -= self.lu[row * n + k as usize] * x[k as usize];
-                }
-            }
-            x[row] = acc / self.lu[row * n + row];
-        }
-        x
-    }
-}
-
-/// A factorization that is either dense-with-pivoting or profile-banded,
-/// chosen by [`Factorization::auto`] from the matrix structure.
-///
-/// Both arms solve with identical results on matrices the banded path
-/// accepts (see [`BandedFactorization`]), so callers can treat the choice
-/// as a pure performance knob.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Factorization {
-    /// Dense LU with partial pivoting — always applicable.
-    Dense(LuFactorization),
-    /// Profile elimination in the natural order — chosen when the
-    /// envelope undercuts dense work decisively.
-    Banded(BandedFactorization),
-}
-
-impl Factorization {
-    /// Factors `a`, picking the profile path when its structural work
-    /// estimate decisively undercuts dense elimination (see
-    /// [`profile_pays_off`]) and it needs no pivoting, and the dense path
-    /// otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`LuFactorization::factor`]: the banded path's
-    /// verdicts agree with the dense ones, and a `PivotingRequired`
-    /// refusal falls back to dense transparently.
-    pub fn auto(n: usize, a: &[f64]) -> Result<Self, LinalgError> {
-        if profile_pays_off(n, a) {
-            match BandedFactorization::factor(n, a) {
-                Ok(banded) => return Ok(Factorization::Banded(banded)),
-                Err(LinalgError::PivotingRequired { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        LuFactorization::factor(n, a).map(Factorization::Dense)
-    }
-
-    /// Matrix dimension.
-    pub fn n(&self) -> usize {
-        match self {
-            Factorization::Dense(lu) => lu.n(),
-            Factorization::Banded(b) => b.n(),
-        }
-    }
-
-    /// Solves `A·x = b` using whichever factorization was chosen.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != self.n()`.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        match self {
-            Factorization::Dense(lu) => lu.solve(b),
-            Factorization::Banded(banded) => banded.solve(b),
-        }
-    }
-
-    /// Whether the profile path was selected.
-    pub fn is_banded(&self) -> bool {
-        matches!(self, Factorization::Banded(_))
-    }
-}
-
-/// Whether profile elimination in the natural order is worth attempting
-/// on the row-major `n×n` matrix `a`.
-///
-/// Two tests, both structural (no arithmetic on the values):
-///
-/// 1. The profile factorization's multiply-add estimate must undercut the
-///    dense triangle by at least 2× — tiny systems and dense-ish patterns
-///    stay on the battle-tested dense path.
-/// 2. The natural ordering's profile must sit within 4× of what an
-///    RCM-style reordering ([`rcm_order`]) would achieve. The solve runs
-///    in the natural order on purpose — permuting nodes would change the
-///    floating-point operation order and break bit-identity with the
-///    dense path — so RCM serves as the achievability reference: a
-///    natural order far from that optimum means the caller numbered its
-///    nodes badly and dense is the safer default.
-pub fn profile_pays_off(n: usize, a: &[f64]) -> bool {
-    if n < 8 || a.len() != n * n {
-        return false;
-    }
-    let first = envelope_first(n, a);
-    // |succ(col)| per column, from the row-wise envelope.
-    let mut width = vec![0u64; n];
-    for (r, &f) in first.iter().enumerate() {
-        for w in &mut width[f..r] {
-            *w += 1;
-        }
-    }
-    let profile_ops: u64 = width.iter().map(|&w| w * (w + 2)).sum();
-    let nn = n as u64;
-    let dense_ops = (nn - 1) * nn * (nn + 1) / 3;
-    if profile_ops * 2 > dense_ops {
-        return false;
-    }
-    let natural_profile: u64 = first.iter().enumerate().map(|(r, &f)| (r - f) as u64).sum();
-    let rcm_profile = profile(n, a, &rcm_order(n, a)) as u64;
-    natural_profile <= 4 * rcm_profile.max(nn)
-}
-
-/// Bandwidth of the symmetrized structural pattern of the row-major `n×n`
-/// matrix `a`: the largest `|i−j|` with `a[i,j] ≠ 0` or `a[j,i] ≠ 0`
-/// (0 for a diagonal or empty matrix).
-pub fn bandwidth(n: usize, a: &[f64]) -> usize {
-    let mut bw = 0;
-    for i in 0..n {
-        for j in 0..i {
-            if a[i * n + j] != 0.0 || a[j * n + i] != 0.0 {
-                // The first structural nonzero in the row is the widest.
-                bw = bw.max(i - j);
-                break;
-            }
-        }
-    }
-    bw
-}
-
-/// Bandwidth of the same pattern under a node relabeling: `order[p]` is
-/// the original node placed at position `p`.
-///
-/// # Panics
-///
-/// Panics if `order` is not a length-`n` permutation of `0..n`.
-pub fn bandwidth_under(n: usize, a: &[f64], order: &[usize]) -> usize {
-    let pos = positions(n, order);
-    let mut bw = 0;
-    for i in 0..n {
-        for j in 0..i {
-            if a[i * n + j] != 0.0 || a[j * n + i] != 0.0 {
-                bw = bw.max(pos[i].abs_diff(pos[j]));
-            }
-        }
-    }
-    bw
-}
-
-/// Profile (envelope size) of the pattern under a node relabeling: the
-/// total count of strictly-lower entries inside the per-row envelope,
-/// i.e. Σᵢ (i − firstᵢ). This is exactly the per-solve work of
-/// [`BandedFactorization`] beyond the diagonal divisions.
-///
-/// # Panics
-///
-/// Panics if `order` is not a length-`n` permutation of `0..n`.
-pub fn profile(n: usize, a: &[f64], order: &[usize]) -> usize {
-    let _ = positions(n, order); // validate the permutation
-    let mut total = 0;
-    for p in 0..n {
-        let i = order[p];
-        let f = (0..p)
-            .find(|&q| {
-                let j = order[q];
-                a[i * n + j] != 0.0 || a[j * n + i] != 0.0
-            })
-            .unwrap_or(p);
-        total += p - f;
-    }
-    total
-}
-
-/// Reverse Cuthill–McKee ordering of the symmetrized structural pattern:
-/// a breadth-first traversal from a minimum-degree start, visiting
-/// neighbours in ascending degree, reversed at the end. Deterministic
-/// (ties break on node index) and component-aware.
-///
-/// Used by [`profile_pays_off`] as the achievability reference for the
-/// natural ordering's profile — see that function for why the solve
-/// itself never permutes.
-pub fn rcm_order(n: usize, a: &[f64]) -> Vec<usize> {
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for i in 0..n {
-        for j in 0..i {
-            if a[i * n + j] != 0.0 || a[j * n + i] != 0.0 {
-                adj[i].push(j);
-                adj[j].push(i);
-            }
-        }
-    }
-    let degree: Vec<usize> = adj.iter().map(Vec::len).collect();
-    let mut visited = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    while let Some(start) = (0..n)
-        .filter(|&i| !visited[i])
-        .min_by_key(|&i| (degree[i], i))
-    {
-        visited[start] = true;
-        let mut queue = std::collections::VecDeque::from([start]);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            let mut nbrs: Vec<usize> = adj[u].iter().copied().filter(|&v| !visited[v]).collect();
-            nbrs.sort_by_key(|&v| (degree[v], v));
-            for v in nbrs {
-                visited[v] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    order.reverse();
-    order
-}
-
-/// Inverts `order` into node→position, panicking unless it is a
-/// permutation of `0..n`.
-fn positions(n: usize, order: &[usize]) -> Vec<usize> {
-    assert_eq!(order.len(), n, "order must have length n");
-    let mut pos = vec![usize::MAX; n];
-    for (p, &node) in order.iter().enumerate() {
-        assert!(
-            node < n && pos[node] == usize::MAX,
-            "order must be a permutation of 0..n"
-        );
-        pos[node] = p;
-    }
-    pos
 }
 
 /// Solves `A·x = b` for a small dense square system by Gaussian elimination
@@ -1044,230 +502,6 @@ mod tests {
         let _ = lu.solve(&[1.0]);
     }
 
-    /// n×n SPD tridiagonal (diag 4, off-diagonal −1): the canonical
-    /// narrow-envelope, strictly-dominant system.
-    fn tridiagonal(n: usize) -> Vec<f64> {
-        let mut a = vec![0.0; n * n];
-        for i in 0..n {
-            a[i * n + i] = 4.0;
-            if i + 1 < n {
-                a[i * n + i + 1] = -1.0;
-                a[(i + 1) * n + i] = -1.0;
-            }
-        }
-        a
-    }
-
-    #[test]
-    fn banded_solve_is_bitwise_identical_to_dense() {
-        let n = 9;
-        let a = tridiagonal(n);
-        let dense = LuFactorization::factor(n, &a).unwrap();
-        let banded = BandedFactorization::factor(n, &a).unwrap();
-        assert_eq!(banded.n(), n);
-        let b: Vec<f64> = (0..n).map(|i| 0.3 + 0.7 * i as f64).collect();
-        // Exact equality, not a tolerance: the banded path runs the same
-        // floating-point operations as the dense one minus exact zeros.
-        assert_eq!(banded.solve(&b), dense.solve(&b));
-    }
-
-    #[test]
-    fn banded_handles_envelope_fill() {
-        // An arrowhead-plus-band pattern whose elimination fills inside
-        // the envelope (row 4 spans columns 0..4 after symmetrization).
-        let n = 8;
-        let mut a = tridiagonal(n);
-        a[4 * n] = -0.5; // row 4 reaches back to column 0
-        a[4] = -0.5;
-        for d in 0..n {
-            a[d * n + d] = 8.0; // keep strict dominance
-        }
-        let dense = LuFactorization::factor(n, &a).unwrap();
-        let banded = BandedFactorization::factor(n, &a).unwrap();
-        let b = vec![1.0; n];
-        assert_eq!(banded.solve(&b), dense.solve(&b));
-    }
-
-    #[test]
-    fn banded_pivoting_tail_matches_dense_swaps_exactly() {
-        // Strictly dominant everywhere except the last two columns, where
-        // the subdiagonal 4.0 beats the eliminated diagonal and dense
-        // swaps rows — the same shape as a grounded thermal Laplacian,
-        // whose ties appear at the spreader/sink tail. The dominance
-        // failure lands within the n/4 tail budget, so the banded path
-        // absorbs it with a dense-pivoting tail instead of refusing.
-        let n = 12;
-        let mut a = tridiagonal(n);
-        a[(n - 1) * n + (n - 2)] = -4.0;
-        a[(n - 2) * n + (n - 1)] = -4.0;
-        let dense = LuFactorization::factor(n, &a).unwrap();
-        let banded = BandedFactorization::factor(n, &a).unwrap();
-        assert!(banded.split < n, "tail should have engaged");
-        assert_ne!(
-            banded.perm,
-            (0..n).collect::<Vec<_>>(),
-            "tail should have swapped"
-        );
-        let b: Vec<f64> = (0..n).map(|i| (i as f64).sin() + 0.25).collect();
-        assert_eq!(banded.solve(&b), dense.solve(&b));
-    }
-
-    #[test]
-    fn banded_refuses_when_dense_would_pivot() {
-        // Subdiagonal beats the diagonal in column 0: dense swaps rows,
-        // the profile path must decline rather than diverge.
-        let a = vec![1.0, 2.0, 2.0, 1.0];
-        assert_eq!(
-            BandedFactorization::factor(2, &a),
-            Err(LinalgError::PivotingRequired { n: 2 })
-        );
-        assert!(LuFactorization::factor(2, &a).is_ok());
-    }
-
-    #[test]
-    fn banded_singular_verdict_matches_dense() {
-        // A zero trailing pivot that no pivoting could fix: both paths
-        // agree on Singular.
-        let a = vec![1.0, 0.0, 0.0, 0.0];
-        assert_eq!(
-            BandedFactorization::factor(2, &a).err(),
-            LuFactorization::factor(2, &a).err()
-        );
-        assert_eq!(
-            BandedFactorization::factor(2, &[0.0; 4]),
-            Err(LinalgError::Singular { n: 2 })
-        );
-        // Dependent rows *within* the envelope rank as "needs pivoting"
-        // (the subdiagonal 2.0 beats the diagonal 1.0); the dense
-        // fallback then discovers the singularity itself.
-        assert_eq!(
-            BandedFactorization::factor(2, &[1.0, 2.0, 2.0, 4.0]),
-            Err(LinalgError::PivotingRequired { n: 2 })
-        );
-    }
-
-    #[test]
-    fn banded_shape_errors_match_dense() {
-        assert_eq!(
-            BandedFactorization::factor(0, &[]),
-            Err(LinalgError::ShapeMismatch {
-                what: "matrix",
-                expected: 0,
-                got: 0,
-            })
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "rhs must have length n")]
-    fn banded_solve_keeps_hot_path_assert() {
-        let banded = BandedFactorization::factor(8, &tridiagonal(8)).unwrap();
-        let _ = banded.solve(&[1.0]);
-    }
-
-    #[test]
-    fn auto_picks_banded_for_narrow_envelopes_and_dense_for_small() {
-        let n = 12;
-        let a = tridiagonal(n);
-        let f = Factorization::auto(n, &a).unwrap();
-        assert!(f.is_banded());
-        assert_eq!(f.n(), n);
-        let b = vec![1.0; n];
-        assert_eq!(
-            f.solve(&b),
-            LuFactorization::factor(n, &a).unwrap().solve(&b)
-        );
-        // Small systems stay dense regardless of structure.
-        let small = tridiagonal(4);
-        assert!(!Factorization::auto(4, &small).unwrap().is_banded());
-    }
-
-    #[test]
-    fn auto_falls_back_to_dense_when_pivoting_is_needed() {
-        // Narrow band, but column 0 needs a swap: auto must transparently
-        // produce the dense factorization and still solve correctly.
-        let n = 10;
-        let mut a = tridiagonal(n);
-        a[0] = 0.5; // diagonal loses to the -1.0 below it
-        let f = Factorization::auto(n, &a).unwrap();
-        assert!(!f.is_banded());
-        let b = vec![2.0; n];
-        assert_eq!(f.solve(&b), solve_dense(n, &a, &b).unwrap());
-    }
-
-    #[test]
-    fn bandwidth_of_basic_patterns() {
-        assert_eq!(
-            bandwidth(3, &[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]),
-            0
-        );
-        assert_eq!(bandwidth(8, &tridiagonal(8)), 1);
-        // Arrowhead: last row couples to column 0.
-        let n = 6;
-        let mut a = tridiagonal(n);
-        a[(n - 1) * n] = 1.0;
-        assert_eq!(bandwidth(n, &a), n - 1);
-        // Symmetrization: a one-sided entry still counts.
-        let mut one_sided = vec![0.0; 9];
-        for d in 0..3 {
-            one_sided[d * 3 + d] = 1.0;
-        }
-        one_sided[2] = 5.0; // (0, 2) only
-        assert_eq!(bandwidth(3, &one_sided), 2);
-    }
-
-    #[test]
-    fn rcm_narrows_a_shuffled_path_graph() {
-        // A path graph 0–1–2–…–7 relabeled by a stride-3 shuffle has a
-        // wide natural bandwidth; RCM must recover bandwidth 1.
-        let n = 8;
-        let shuffle: Vec<usize> = (0..n).map(|i| (i * 3) % n).collect();
-        let mut a = vec![0.0; n * n];
-        for i in 0..n {
-            a[i * n + i] = 4.0;
-        }
-        for w in shuffle.windows(2) {
-            let (u, v) = (w[0], w[1]);
-            a[u * n + v] = -1.0;
-            a[v * n + u] = -1.0;
-        }
-        assert!(bandwidth(n, &a) > 1);
-        let order = rcm_order(n, &a);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..n).collect::<Vec<_>>(), "a permutation");
-        assert_eq!(bandwidth_under(n, &a, &order), 1);
-        assert!(profile(n, &a, &order) <= profile(n, &a, &(0..n).collect::<Vec<_>>()));
-    }
-
-    #[test]
-    fn rcm_handles_disconnected_components() {
-        // Two 2-node components plus an isolated node: every node must
-        // appear exactly once.
-        let n = 5;
-        let mut a = vec![0.0; n * n];
-        for d in 0..n {
-            a[d * n + d] = 1.0;
-        }
-        a[1] = 1.0; // 0–1
-        a[n] = 1.0;
-        a[3 * n + 4] = 1.0; // 3–4
-        a[4 * n + 3] = 1.0;
-        let order = rcm_order(n, &a);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn profile_pays_off_rejects_dense_patterns() {
-        let n = 12;
-        let dense_a = vec![1.0; n * n];
-        assert!(!profile_pays_off(n, &dense_a));
-        assert!(profile_pays_off(n, &tridiagonal(n)));
-        assert!(!profile_pays_off(4, &tridiagonal(4)), "too small to bother");
-    }
-
     #[test]
     fn errors_display_and_are_send_sync() {
         fn assert_send_sync<T: Send + Sync + std::error::Error>() {}
@@ -1282,7 +516,5 @@ mod tests {
         }
         .to_string();
         assert!(m.contains("rhs") && m.contains('4') && m.contains('2'));
-        let p = LinalgError::PivotingRequired { n: 5 }.to_string();
-        assert!(p.contains("pivoting") && p.contains('5'));
     }
 }

@@ -497,28 +497,6 @@ impl ThermalModel {
         (result, error)
     }
 
-    /// One implicit-Euler transient step of the underlying RC network:
-    /// takes the full node-temperature vector (blocks + spreader + sink,
-    /// as returned by a previous call or seeded at ambient), per-block
-    /// powers, and a step length; returns the new node temperatures.
-    ///
-    /// One-shot convenience that refactors `(C/dt + G)` on every call;
-    /// loops with a fixed step should hold a
-    /// [`ThermalModel::transient_stepper`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatches or a non-positive step.
-    pub fn network_step(
-        &self,
-        node_temps: &[Celsius],
-        powers: &[Watts],
-        dt: tlp_tech::units::Seconds,
-    ) -> Vec<Celsius> {
-        self.network
-            .transient_step(node_temps, powers, self.ambient, dt)
-    }
-
     /// Builds a reusable implicit-Euler stepper for step length `dt`: the
     /// `(C/dt + G)` matrix is factored once, so marching a long trace
     /// costs one O(n²) solve per step instead of O(n³).

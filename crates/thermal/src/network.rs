@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tlp_tech::linalg::Factorization;
+use tlp_tech::linalg::LuFactorization;
 use tlp_tech::units::{Celsius, Seconds, Watts};
 
 use crate::floorplan::Floorplan;
@@ -59,11 +59,9 @@ impl Default for PackageParams {
 /// is computed once and cached: every steady-state solve — and there is
 /// one per fixpoint iteration — is a cheap back-substitution instead of
 /// a refactorization. This mirrors HotSpot's reuse of the factored
-/// thermal matrix across solves. The factorization itself is chosen by
-/// [`Factorization::auto`]: RC networks couple each node only to its
-/// floorplan neighbours, so on real CMP floorplans the profile/banded
-/// path replaces dense elimination with identical results at a fraction
-/// of the arithmetic.
+/// thermal matrix across solves. The chip model solves one 12-node core
+/// tile per network, where a dense [`LuFactorization`] is both the
+/// simplest and the fastest choice.
 #[derive(Debug)]
 pub struct RcNetwork {
     n_blocks: usize,
@@ -71,7 +69,7 @@ pub struct RcNetwork {
     /// the diagonal, row-major `(n_blocks+2)²`.
     g: Vec<f64>,
     /// Cached factorization of `g`, rebuilt only when `g` changes.
-    g_lu: Factorization,
+    g_lu: LuFactorization,
     /// Per-node thermal capacitance, J/K.
     c: Vec<f64>,
     /// Boundary conductance to ambient per node (only the sink's entry is
@@ -159,8 +157,8 @@ impl RcNetwork {
         c[spreader] = package.c_spreader;
         c[sink] = package.c_sink;
 
-        let g_lu =
-            Factorization::auto(n, &g).expect("thermal conductance matrix is SPD and nonsingular");
+        let g_lu = LuFactorization::factor(n, &g)
+            .expect("thermal conductance matrix is SPD and nonsingular");
         Self {
             n_blocks: nb,
             g,
@@ -248,7 +246,7 @@ impl RcNetwork {
             a[i * n + i] += cdt;
             c_over_dt[i] = cdt;
         }
-        let lu = Factorization::auto(n, &a).expect("implicit-Euler matrix is nonsingular");
+        let lu = LuFactorization::factor(n, &a).expect("implicit-Euler matrix is nonsingular");
         TransientSolver {
             n_blocks: self.n_blocks,
             dt,
@@ -273,14 +271,8 @@ impl RcNetwork {
         self.g_amb[sink] = g_sink_ambient;
         self.g[sink * n + sink] += g_sink_ambient;
         self.revision.fetch_add(1, Ordering::Release);
-        self.g_lu = Factorization::auto(n, &self.g)
+        self.g_lu = LuFactorization::factor(n, &self.g)
             .expect("thermal conductance matrix is SPD and nonsingular");
-    }
-
-    /// Whether the cached factorization took the profile/banded path
-    /// (diagnostic; the result is identical either way).
-    pub fn uses_banded_solver(&self) -> bool {
-        self.g_lu.is_banded()
     }
 }
 
@@ -292,7 +284,7 @@ impl RcNetwork {
 pub struct TransientSolver {
     n_blocks: usize,
     dt: Seconds,
-    lu: Factorization,
+    lu: LuFactorization,
     c_over_dt: Vec<f64>,
     g_amb: Vec<f64>,
     /// Network revision the `(C/dt + G)` factors were built at.
@@ -550,36 +542,20 @@ mod tests {
         assert_eq!(t.len(), nb + 2);
     }
 
-    #[test]
-    fn cmp_floorplan_networks_take_the_banded_path() {
-        for cores in [4usize, 16] {
-            let f = Floorplan::ispass_cmp(cores, 14.0, 14.0);
-            let net = RcNetwork::build(&f, &PackageParams::default());
-            assert!(
-                net.uses_banded_solver(),
-                "{cores}-core network stayed dense"
-            );
-        }
-    }
-
-    #[test]
-    fn banded_steady_state_matches_dense_exactly() {
-        let f = Floorplan::ispass_cmp(8, 12.0, 12.0);
-        let net = RcNetwork::build(&f, &PackageParams::default());
-        let nb = f.blocks().len();
+    /// Asserts that the cached steady-state solve equals a one-shot
+    /// `solve_dense` on the same matrix and right-hand side, bit for bit.
+    fn assert_steady_state_matches_solve_dense(net: &RcNetwork) {
+        let nb = net.n_blocks();
         let n = nb + 2;
         let powers: Vec<Watts> = (0..nb).map(|i| Watts::new(0.1 + 0.05 * i as f64)).collect();
         let amb = Celsius::new(45.0);
         let via_net = net.steady_state(&powers, amb);
-        // Reference: the dense one-shot solver on the same matrix/rhs.
         let mut rhs = vec![0.0; n];
         for (i, p) in powers.iter().enumerate() {
             rhs[i] = p.as_f64();
         }
         rhs[n - 1] += net.g_amb[n - 1] * amb.as_f64();
         let dense = tlp_tech::linalg::solve_dense(n, net.conductance(), &rhs).unwrap();
-        // Bitwise-identical, not approximately equal: the profile path
-        // must run the same arithmetic as dense elimination.
         assert_eq!(
             via_net.iter().map(|t| t.as_f64()).collect::<Vec<_>>(),
             dense
@@ -587,31 +563,20 @@ mod tests {
     }
 
     #[test]
-    fn rc_matrix_structure_bandwidth_and_rcm_ordering() {
-        use tlp_tech::linalg::{bandwidth, bandwidth_under, profile, rcm_order};
-        let f = Floorplan::ispass_cmp(16, 14.0, 14.0);
-        let net = RcNetwork::build(&f, &PackageParams::default());
-        let n = f.blocks().len() + 2;
-        let a = net.conductance();
-        // The spreader (node n-2) couples to every block, so the natural
-        // bandwidth is the full arrowhead span.
-        assert_eq!(bandwidth(n, a), n - 2);
-        let order = rcm_order(n, a);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..n).collect::<Vec<_>>(), "RCM is a permutation");
-        // RCM cannot beat the hub structure's inherent width, but its
-        // profile must not be worse than natural — and the natural
-        // profile must sit within the selection heuristic's 4× guard of
-        // the RCM reference (this is what lets the banded path engage).
-        let natural: Vec<usize> = (0..n).collect();
-        let nat_profile = profile(n, a, &natural);
-        let rcm_profile = profile(n, a, &order);
-        assert!(bandwidth_under(n, a, &order) <= bandwidth(n, a));
-        assert!(
-            nat_profile <= 4 * rcm_profile.max(n),
-            "natural profile {nat_profile} vs RCM {rcm_profile}"
-        );
+    fn cached_steady_state_matches_one_shot_solve_exactly() {
+        // The 12-node core tile the chip models build (ten EV6 blocks at
+        // the 16-core ISPASS die's tile edge, plus spreader and sink) and
+        // a whole 8-core die; each again after the sink retune that the
+        // calibration bisection applies, which must refactor the cache.
+        let edge = (15.6f64 * 15.6 * 0.65 / 16.0).sqrt();
+        let tile = Floorplan::new(Floorplan::ev6_core("core0", 0.0, 0.0, edge, edge, 0));
+        assert_eq!(tile.blocks().len() + 2, 12);
+        for f in [tile, Floorplan::ispass_cmp(8, 12.0, 12.0)] {
+            let mut net = RcNetwork::build(&f, &PackageParams::default());
+            assert_steady_state_matches_solve_dense(&net);
+            net.set_sink_conductance(3.7);
+            assert_steady_state_matches_solve_dense(&net);
+        }
     }
 
     #[test]
