@@ -310,21 +310,10 @@ fn run_command(
                     .into());
             }
             let deadline_arg = take_value(&mut args, "--cell-deadline")?;
-            let deadline = match &deadline_arg {
-                None => None,
-                Some(s) => {
-                    let secs: f64 = s
-                        .parse()
-                        .map_err(|_| format!("bad --cell-deadline '{s}'"))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err(format!(
-                            "--cell-deadline must be a positive number of seconds, got '{s}'"
-                        )
-                        .into());
-                    }
-                    Some(Duration::from_secs_f64(secs))
-                }
-            };
+            let deadline = deadline_arg
+                .as_deref()
+                .map(|v| parse_secs_flag("--cell-deadline", v))
+                .transpose()?;
             // The chip-shape axes (--cores, --server-load, --core-mix,
             // --budget) share one dialect with serve submissions and
             // resume recipes.
@@ -460,7 +449,8 @@ fn parse_secs_flag(flag: &str, value: &str) -> Result<Duration, String> {
             "{flag} must be a positive number of seconds, got '{value}'"
         ));
     }
-    Ok(Duration::from_secs_f64(secs))
+    Duration::try_from_secs_f64(secs)
+        .map_err(|_| format!("{flag} '{value}' is too long to represent as a duration"))
 }
 
 /// The `serve` subcommand: the sweep-as-a-service daemon. Runs until

@@ -83,15 +83,33 @@ fn dvfs_runs_complete_and_slow_wall_clock() {
 
 #[test]
 fn cli_rejects_unrunnable_core_counts_with_typed_errors() {
-    // Zero cores, a power-of-two application on an odd count, and more
-    // threads than the chip has cores: each is an error message and
-    // exit status 1, never a panic.
+    // Zero cores, a power-of-two application on an odd count, more
+    // threads than the chip has cores, and durations too long for a
+    // `Duration`: each is an error message and exit status 1, never a
+    // panic.
     for args in [
         &["profile", "fft", "0"][..],
         &["scenario1", "ocean", "0"],
         &["measure", "ocean", "3", "1.6"],
         &["measure", "ocean", "0", "1.6"],
         &["measure", "water-nsq", "64", "1.6"],
+        &[
+            "sweep",
+            "fft",
+            "--cores",
+            "1,2",
+            "--quick",
+            "--cell-deadline",
+            "1e30",
+        ],
+        &["serve", "--state-dir", "D", "--request-deadline", "1e30"],
+        &[
+            "work",
+            "--coordinator",
+            "http://127.0.0.1:9",
+            "--poll",
+            "1e30",
+        ],
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_cmp-tlp"))
             .args(args)
