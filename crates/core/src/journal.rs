@@ -323,6 +323,27 @@ pub(crate) fn str_field<'a>(j: &'a Json, key: &str) -> Option<&'a str> {
     }
 }
 
+pub(crate) fn arr_field<'a>(j: &'a Json, key: &str) -> Option<&'a [Json]> {
+    match field(j, key)? {
+        Json::Arr(items) => Some(items),
+        _ => None,
+    }
+}
+
+/// Replaces the file at `path` with `bytes` atomically: writes a sibling
+/// `{name}.tmp{pid}`, syncs it, and renames it over `path`, so a crash
+/// leaves either the old file or the new one on disk, never a torn mix.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let tmp = path.with_file_name(format!("{name}.tmp{}", std::process::id()));
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    drop(f);
+    std::fs::rename(&tmp, path)
+}
+
 fn row_json(row: &Scenario1Row) -> Json {
     // Raw Hz and volts (not the display-friendly GHz the report JSON
     // uses): shortest-roundtrip printing then makes the parse
@@ -627,34 +648,18 @@ impl Journal {
         Ok(())
     }
 
-    /// Whole-file atomic flush: write to a sibling temp file, sync, and
-    /// rename over the journal. The on-disk journal is always one
-    /// complete version or the other, never a mix.
+    /// Whole-file atomic flush (see [`write_atomic`]): the on-disk
+    /// journal is always one complete version or the other, never a mix.
     fn flush(&self) -> Result<(), JournalError> {
-        let io_err = |e: std::io::Error| JournalError::Io {
-            path: self.path.display().to_string(),
-            message: e.to_string(),
-        };
         let mut content = String::new();
         for line in &self.lines {
             content.push_str(line);
             content.push('\n');
         }
-        let file_name = self
-            .path
-            .file_name()
-            .map(|f| f.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "journal".to_string());
-        let tmp = self
-            .path
-            .with_file_name(format!("{file_name}.tmp{}", std::process::id()));
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::File::create(&tmp).map_err(io_err)?;
-            f.write_all(content.as_bytes()).map_err(io_err)?;
-            f.sync_all().map_err(io_err)?;
-        }
-        std::fs::rename(&tmp, &self.path).map_err(io_err)?;
+        write_atomic(&self.path, content.as_bytes()).map_err(|e| JournalError::Io {
+            path: self.path.display().to_string(),
+            message: e.to_string(),
+        })?;
         tlp_obs::metrics::HIST_JOURNAL_FLUSH_BYTES.record(content.len() as u64);
         Ok(())
     }

@@ -15,11 +15,11 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use crate::cli_args::DEFAULT_SEED;
+use crate::journal::{arr_field, field, num_field, str_field, write_atomic};
 use crate::sweep::SweepSpec;
 use tlp_tech::json::{Json, JsonLimits};
 use tlp_workloads::{AppId, Scale};
@@ -276,34 +276,6 @@ impl JobRecord {
     }
 }
 
-fn field<'a>(j: &'a Json, key: &str) -> Option<&'a Json> {
-    match j {
-        Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn num_field(j: &Json, key: &str) -> Option<f64> {
-    match field(j, key)? {
-        Json::Num(x) => Some(*x),
-        _ => None,
-    }
-}
-
-fn str_field<'a>(j: &'a Json, key: &str) -> Option<&'a str> {
-    match field(j, key)? {
-        Json::Str(s) => Some(s),
-        _ => None,
-    }
-}
-
-fn arr_field<'a>(j: &'a Json, key: &str) -> Option<&'a [Json]> {
-    match field(j, key)? {
-        Json::Arr(items) => Some(items),
-        _ => None,
-    }
-}
-
 /// A value paired with the store version it was read at.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Versioned<T> {
@@ -467,18 +439,9 @@ impl FsJobStore {
     /// hybrid.
     fn write_record(&self, record: &JobRecord, version: u64) -> Result<(), JobStoreError> {
         let path = self.record_path(&record.id);
-        let tmp = path.with_extension("json.tmp");
-        let payload = {
-            let mut s = record.to_json(version).to_string_pretty();
-            s.push('\n');
-            s
-        };
-        let mut f = fs::File::create(&tmp).map_err(|e| self.io_err(&tmp, e))?;
-        f.write_all(payload.as_bytes())
-            .and_then(|()| f.sync_all())
-            .map_err(|e| self.io_err(&tmp, e))?;
-        drop(f);
-        fs::rename(&tmp, &path).map_err(|e| self.io_err(&path, e))
+        let mut payload = record.to_json(version).to_string_pretty();
+        payload.push('\n');
+        write_atomic(&path, payload.as_bytes()).map_err(|e| self.io_err(&path, e))
     }
 
     /// The highest sequence number in the store (0 when empty), read from
@@ -788,6 +751,26 @@ mod tests {
             store.list().unwrap_err(),
             JobStoreError::Corrupt { .. }
         ));
+    }
+
+    #[test]
+    fn leftover_tmp_files_are_not_records() {
+        // A crash between write and rename leaves `{name}.tmp{pid}` beside
+        // the records: neither the next id nor the listing may read it.
+        let dir = temp_dir("leftover-tmp");
+        let store = FsJobStore::open(&dir).unwrap();
+        store.create(record()).unwrap();
+        fs::write(dir.join("j000009.job.json.tmp4242"), "{ torn").unwrap();
+        assert_eq!(store.create(record()).unwrap().value.id, "j000002");
+        assert_eq!(store.list().unwrap().len(), 2);
+        // Completed writes leave no tmp file of their own behind.
+        let names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains(".tmp"))
+            .collect();
+        assert_eq!(names, ["j000009.job.json.tmp4242"]);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -34,7 +34,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -880,21 +879,10 @@ impl ShardBoard {
     }
 
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), ShardError> {
-        let io = |e: std::io::Error| ShardError::Io {
+        crate::journal::write_atomic(path, bytes).map_err(|e| ShardError::Io {
             path: path.display().to_string(),
             message: e.to_string(),
-        };
-        let name = path
-            .file_name()
-            .map(|f| f.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "shard".to_string());
-        let tmp = path.with_file_name(format!("{name}.tmp{}", std::process::id()));
-        {
-            let mut f = fs::File::create(&tmp).map_err(io)?;
-            f.write_all(bytes).map_err(io)?;
-            f.sync_all().map_err(io)?;
-        }
-        fs::rename(&tmp, path).map_err(io)
+        })
     }
 }
 
