@@ -1,25 +1,42 @@
 //! Analytical chip model: power equations (Eqs. 2, 4, 8, 9) coupled to the
 //! thermal model.
 //!
-//! [`AnalyticChip`] binds a [`Technology`] to a calibrated
-//! [`ThermalModel`] over the paper's CMP floorplan. It evaluates chip-level
-//! dynamic and static power for `N` active cores at a voltage/frequency
-//! point, and solves the power↔temperature equilibrium the paper obtains by
-//! iterating its power equations with HotSpot.
+//! [`AnalyticChip`] binds a [`Technology`] to a calibrated core tile
+//! ([`calibrated_tile`]). It evaluates chip-level dynamic and static power
+//! for `N` active cores at a voltage/frequency point, and solves the
+//! power↔temperature equilibrium the paper obtains by iterating its power
+//! equations with HotSpot.
 
 use tlp_tech::leakage::{self, FittedLeakage};
 use tlp_tech::units::{Celsius, Hertz, Volts, Watts};
 use tlp_tech::{FrequencyModel, Technology};
-use tlp_thermal::{Floorplan, ThermalModel};
+use tlp_thermal::{FixpointOptions, Floorplan, ThermalModel};
 
 use crate::error::AnalyticError;
 
 /// Die edge in millimetres (Table 1: 15.6 mm × 15.6 mm).
 pub const DIE_EDGE_MM: f64 = 15.6;
 
-/// Fraction of the die devoted to cores (the rest is the shared L2),
-/// matching [`Floorplan::ispass_cmp`].
-const CORE_REGION_FRAC: f64 = 0.65;
+/// Area of the die's core region in mm²: 65 % of the die, the rest being
+/// the shared L2. The chip models divide it into one tile per core.
+pub const CORE_REGION_MM2: f64 = DIE_EDGE_MM * DIE_EDGE_MM * 0.65;
+
+/// The thermal tile of one core of `area_mm2`: an EV6 core tile whose
+/// package is calibrated so that one core at full throttle
+/// (`P_D1 + P_S1(T_max)`) equilibrates at the technology's `T_max` in a
+/// 45 °C in-box ambient (§3.3). Following the paper ("we approximate the
+/// operating temperature using the HotSpot thermal model for its default
+/// Alpha EV6 floorplan"), every chip model solves its temperatures on
+/// such tiles, one per core.
+pub fn calibrated_tile(tech: &Technology, area_mm2: f64) -> ThermalModel {
+    let p1 = tech.p_dynamic_core_nominal() + tech.p_static_core_at_tmax();
+    ThermalModel::calibrated(
+        Floorplan::ev6_tile(area_mm2.sqrt()),
+        p1,
+        tech.t_max(),
+        Celsius::new(45.0),
+    )
+}
 
 /// How die temperature enters the static-power term of an equilibrium
 /// solve.
@@ -98,14 +115,10 @@ pub struct AnalyticChip {
 impl AnalyticChip {
     /// Builds the model for a technology on a `max_cores`-way CMP die.
     ///
-    /// Following the paper ("we approximate the operating temperature using
-    /// the HotSpot thermal model for its default Alpha EV6 floorplan"),
-    /// temperature is evaluated per core tile: all active cores run the
-    /// same workload at the same V/f, so each tile sees the same power and
-    /// settles at the same temperature. The tile's thermal package is
-    /// calibrated such that one core at full throttle equilibrates at the
-    /// technology's maximum operating temperature (100 °C), with an in-box
-    /// ambient of 45 °C.
+    /// Temperature is evaluated on one [`calibrated_tile`] with the
+    /// per-core area of the die: all active cores run the same workload at
+    /// the same V/f, so each tile sees the same power and settles at the
+    /// same temperature.
     ///
     /// # Panics
     ///
@@ -116,15 +129,7 @@ impl AnalyticChip {
         let (leak, _) = leakage::fit(&tech);
         let lambda_tmax = leak.normalized(tech.vdd_nominal(), tech.t_max());
         let p_s1_std = Watts::new(tech.p_static_core_at_tmax().as_f64() / lambda_tmax);
-        let p1 = tech.p_dynamic_core_nominal() + tech.p_static_core_at_tmax();
-        // One EV6 core tile with the per-core area of the max_cores die.
-        let tile_area = DIE_EDGE_MM * DIE_EDGE_MM * CORE_REGION_FRAC / max_cores as f64;
-        let tile_edge = tile_area.sqrt();
-        let floorplan = Floorplan::new(Floorplan::ev6_core(
-            "core0", 0.0, 0.0, tile_edge, tile_edge, 0,
-        ));
-        let ambient = Celsius::new(45.0);
-        let thermal = ThermalModel::calibrated_active(floorplan, p1, 1, tech.t_max(), ambient);
+        let thermal = calibrated_tile(&tech, CORE_REGION_MM2 / max_cores as f64);
         let mut chip = Self {
             tech,
             freq,
@@ -132,8 +137,9 @@ impl AnalyticChip {
             thermal,
             max_cores,
             p_s1_std,
+            // Placeholder until the reference equilibrium below is solved.
             reference: ReferencePoint {
-                power: p1,
+                power: Watts::ZERO,
                 temperature: Celsius::new(0.0),
             },
         };
@@ -222,11 +228,9 @@ impl AnalyticChip {
             // Report the thermally solved temperature for the total power
             // so callers can still plot realistic die temperatures.
             let per_core_total = (dynamic + static_) / n as f64;
-            let blocks = self.thermal.uniform_core_power(per_core_total, 1);
-            let temperature = self
-                .thermal
-                .steady_state(&blocks)
-                .average_active_core_temperature(self.thermal.floorplan(), 1);
+            let blocks = self.thermal.uniform_power(per_core_total);
+            let map = self.thermal.steady_state(&blocks);
+            let temperature = self.tile_temperature(map.block_temps());
             return Ok(Equilibrium {
                 dynamic,
                 static_,
@@ -236,28 +240,29 @@ impl AnalyticChip {
         // All active cores run identically; solve one tile and multiply.
         let dynamic = self.dynamic_power(n, v, f);
         let per_core_dynamic = dynamic / n as f64;
-        let floorplan = self.thermal.floorplan().clone();
-        let dyn_blocks = self.thermal.uniform_core_power(per_core_dynamic, 1);
-        let result = self.thermal.fixpoint(
-            &dyn_blocks,
-            |map| {
-                let t = map
-                    .average_active_core_temperature(&floorplan, 1)
-                    .max(self.thermal.ambient());
-                let static_per_core = self.static_power(1, v, t);
-                self.thermal.uniform_core_power(static_per_core, 1)
-            },
-            1e-3,
-            200,
-        );
-        if !result.converged {
-            return Err(AnalyticError::NoConvergence {
+        let dyn_blocks = self.thermal.uniform_power(per_core_dynamic);
+        let opts = FixpointOptions {
+            tolerance_celsius: 1e-3,
+            max_iterations: 200,
+            damping: 0.0,
+            divergence_limit_celsius: f64::INFINITY,
+        };
+        let result = self
+            .thermal
+            .try_fixpoint(
+                &dyn_blocks,
+                |map| {
+                    let t = self
+                        .tile_temperature(map.block_temps())
+                        .max(self.thermal.ambient());
+                    self.thermal.uniform_power(self.static_power(1, v, t))
+                },
+                &opts,
+            )
+            .map_err(|_| AnalyticError::NoConvergence {
                 what: "power-temperature equilibrium",
-            });
-        }
-        let temperature = result
-            .map
-            .average_active_core_temperature(self.thermal.floorplan(), 1);
+            })?;
+        let temperature = self.tile_temperature(result.map.block_temps());
         let static_per_core: Watts = result.static_power.iter().copied().sum();
         Ok(Equilibrium {
             dynamic,
@@ -266,9 +271,13 @@ impl AnalyticChip {
         })
     }
 
-    /// The thermal model (exposed for power-density statistics).
+    /// The calibrated core tile every active core is solved on.
     pub fn thermal(&self) -> &ThermalModel {
         &self.thermal
+    }
+
+    fn tile_temperature(&self, temps: &[Celsius]) -> Celsius {
+        self.thermal.floorplan().average_temperature(temps)
     }
 }
 

@@ -50,7 +50,10 @@ pub mod scenario1;
 pub mod scenario2;
 
 pub use budget::{BudgetSpec, BudgetedChip};
-pub use chip::{AnalyticChip, Equilibrium, ReferencePoint, ThermalCoupling, DIE_EDGE_MM};
+pub use chip::{
+    calibrated_tile, AnalyticChip, Equilibrium, ReferencePoint, ThermalCoupling, CORE_REGION_MM2,
+    DIE_EDGE_MM,
+};
 pub use efficiency::EfficiencyCurve;
 pub use error::AnalyticError;
 pub use scenario1::{Scenario1, Scenario1Point, Scenario1Series};

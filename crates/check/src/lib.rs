@@ -22,8 +22,8 @@
 //! - [`oracles`] — the physics-layer differential oracles: fitted
 //!   leakage formula vs. the BSIM-style reference within the paper's
 //!   per-node bounds, cached [`LuFactorization`](tlp_tech::linalg::LuFactorization)
-//!   solves vs. fresh `solve_dense` on thermal conductance matrices, and
-//!   thermal steady state vs. long-horizon transient convergence.
+//!   solves vs. fresh `solve_dense` on core-tile conductance matrices,
+//!   and thermal steady state vs. long-horizon transient convergence.
 //!
 //! The experiment-layer oracles (serial-vs-parallel sweep byte-identity,
 //! analytic-vs-simulator scenario agreement) live in `cmp_tlp::checks`,

@@ -7,12 +7,15 @@
 //!    BSIM-style physical reference, within the paper's per-node HSpice
 //!    validation bounds (≤ 9.5 % at 130 nm, ≤ 7.5 % at 65 nm).
 //! 2. [`lu_solve`] — cached [`LuFactorization`] solves vs. fresh
-//!    [`solve_dense`] calls, bit-identical, on real thermal conductance
+//!    [`solve_dense`] calls, bit-identical, on real core-tile conductance
 //!    matrices and on randomized well- and ill-conditioned RC-like
 //!    systems (singular verdicts must agree too).
 //! 3. [`thermal_transient`] — the steady-state linear solve vs. a
-//!    long-horizon implicit-Euler transient march on the same network:
+//!    long-horizon implicit-Euler transient march on the same core tile:
 //!    two different numerical routes to the same equilibrium.
+//!
+//! Both thermal oracles draw tiles with edges in [`TILE_EDGE_MM`], the
+//! range that covers every tile the chip models build.
 //!
 //! The experiment-layer oracles (sweep determinism, analytic-vs-
 //! simulator scenarios) need the `cmp-tlp` crate and live in
@@ -28,6 +31,12 @@ use tlp_thermal::{Floorplan, PackageParams, RcNetwork};
 
 use crate::prop::Property;
 use crate::{gen, shrink};
+
+/// Edges, in mm, of the core tiles the thermal oracles draw. The chip
+/// models build tiles from 2.22 mm (`AnalyticChip::new(_, 32)`) to
+/// 12.58 mm (the one-core ISPASS chip); `cmp-tlp` tests that every tile
+/// it builds falls inside.
+pub const TILE_EDGE_MM: std::ops::Range<f64> = 2.0..13.0;
 
 /// The paper's per-node maximum relative error of the fitted leakage
 /// formula against its HSpice validation.
@@ -163,12 +172,12 @@ fn gen_linear_system(rng: &mut tlp_tech::rng::SplitMix64) -> LinearSystem {
     let a;
     let n;
     if rng.gen_bool(0.5) {
-        // A real thermal conductance matrix: the exact class of systems
-        // the cached factorization was built for.
-        let cores = gen::pick(rng, &[1usize, 2, 4]);
-        let die = rng.gen_range_f64(8.0..14.0);
-        let f = Floorplan::ispass_cmp(cores, die, die);
-        let net = RcNetwork::build(&f, &PackageParams::default());
+        // A real core-tile conductance matrix with its sink retuned
+        // anywhere the calibration bisection probes: the exact class of
+        // systems the cached factorization was built for.
+        let f = Floorplan::ev6_tile(rng.gen_range_f64(TILE_EDGE_MM));
+        let mut net = RcNetwork::build(&f, &PackageParams::default());
+        net.set_sink_conductance(10f64.powf(rng.gen_range_f64(-3.0..4.0)));
         a = net.conductance().to_vec();
         n = net.n_blocks() + 2;
     } else {
@@ -279,10 +288,8 @@ pub fn lu_solve() -> Property {
 /// A randomized thermal relaxation scenario.
 #[derive(Debug, Clone)]
 pub struct ThermalScenario {
-    /// Core count of the ispass floorplan.
-    pub cores: usize,
-    /// Square die edge, mm.
-    pub die_mm: f64,
+    /// Edge of the EV6 core tile, mm.
+    pub edge_mm: f64,
     /// Per-block power, watts.
     pub powers: Vec<f64>,
     /// Ambient temperature, °C.
@@ -290,9 +297,8 @@ pub struct ThermalScenario {
 }
 
 fn gen_thermal_scenario(rng: &mut tlp_tech::rng::SplitMix64) -> ThermalScenario {
-    let cores = gen::pick(rng, &[1usize, 2, 4]);
-    let die_mm = rng.gen_range_f64(8.0..14.0);
-    let nb = Floorplan::ispass_cmp(cores, die_mm, die_mm).blocks().len();
+    let edge_mm = rng.gen_range_f64(TILE_EDGE_MM);
+    let nb = Floorplan::ev6_tile(edge_mm).blocks().len();
     // Cap total power so the 1200 s march settles well inside the
     // tolerance (sink τ = C/g = 150 s dominates).
     let per_block_max = 12.0 / nb as f64;
@@ -301,8 +307,7 @@ fn gen_thermal_scenario(rng: &mut tlp_tech::rng::SplitMix64) -> ThermalScenario 
         .collect();
     let ambient = rng.gen_range_f64(30.0..50.0);
     ThermalScenario {
-        cores,
-        die_mm,
+        edge_mm,
         powers,
         ambient,
     }
@@ -336,8 +341,7 @@ fn shrink_thermal_scenario(s: &ThermalScenario) -> Vec<ThermalScenario> {
 const TRANSIENT_TOL_C: f64 = 0.05;
 
 fn thermal_check(s: &ThermalScenario) -> Result<(), String> {
-    let f = Floorplan::ispass_cmp(s.cores, s.die_mm, s.die_mm);
-    let net = RcNetwork::build(&f, &PackageParams::default());
+    let net = RcNetwork::build(&Floorplan::ev6_tile(s.edge_mm), &PackageParams::default());
     if net.n_blocks() != s.powers.len() {
         return Err(format!(
             "scenario has {} powers for {} blocks",
@@ -371,7 +375,7 @@ fn thermal_check(s: &ThermalScenario) -> Result<(), String> {
 pub fn thermal_transient() -> Property {
     Property::new(
         "thermal-transient",
-        "a 1200 s implicit-Euler march converges to the directly solved steady state on random floorplans",
+        "a 1200 s implicit-Euler march converges to the directly solved steady state on random core tiles",
         gen_thermal_scenario,
         shrink_thermal_scenario,
         thermal_check,
@@ -488,8 +492,7 @@ mod tests {
         for p in &mut s.powers {
             *p = 0.8;
         }
-        let f = Floorplan::ispass_cmp(s.cores, s.die_mm, s.die_mm);
-        let net = RcNetwork::build(&f, &PackageParams::default());
+        let net = RcNetwork::build(&Floorplan::ev6_tile(s.edge_mm), &PackageParams::default());
         let powers: Vec<Watts> = s.powers.iter().map(|&p| Watts::new(p)).collect();
         let ambient = Celsius::new(s.ambient);
         let steady = net.steady_state(&powers, ambient);

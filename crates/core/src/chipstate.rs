@@ -11,20 +11,16 @@
 //! chip is one class at the base clock and takes the same code path as a
 //! big/little mix.
 
+use tlp_analytic::{calibrated_tile, CORE_REGION_MM2};
 use tlp_power::{Calibration, DynamicBreakdown, PowerCalculator, PowerError, StaticPower};
 use tlp_sim::{ChipSpec, CmpConfig, CmpSimulator, SimFaults, SimResult};
 use tlp_tech::units::{Celsius, Hertz, PowerDensity, Volts, Watts};
 use tlp_tech::{DvfsTable, OperatingPoint, Technology};
-use tlp_thermal::{FixpointOptions, Floorplan, ThermalModel};
+use tlp_thermal::{FixpointOptions, ThermalModel};
 use tlp_workloads::micro::power_virus;
 
 use crate::error::ExperimentError;
 use crate::governor::{ChipWide, Governor};
-
-/// Die edge (Table 1: 15.6 mm × 15.6 mm).
-pub const DIE_EDGE_MM: f64 = 15.6;
-/// Fraction of the die devoted to cores (matches the floorplans).
-const CORE_REGION_FRAC: f64 = 0.65;
 
 /// Measurement-stage fault injection (see `DESIGN.md`, "Failure model &
 /// fault injection").
@@ -159,10 +155,8 @@ impl ExperimentalChip {
             .collect();
         let statics = StaticPower::new(&tech);
 
-        let p1 = tech.p_dynamic_core_nominal() + tech.p_static_core_at_tmax();
-        let core_region = DIE_EDGE_MM * DIE_EDGE_MM * CORE_REGION_FRAC;
         // Issue width is the area proxy: a 2-wide core gets half the die
-        // area of a 4-wide one, matching Floorplan::hetero_cmp.
+        // area of a 4-wide one.
         let total_weight: f64 = spec
             .classes
             .iter()
@@ -173,16 +167,8 @@ impl ExperimentalChip {
         for class in &spec.classes {
             // Dividing the region by the class's share of the weight keeps
             // a one-class chip's tile at exactly region / n.
-            let area = core_region / (total_weight / f64::from(class.core.issue_width));
-            let edge = area.sqrt();
-            let floorplan = Floorplan::new(Floorplan::ev6_core("core0", 0.0, 0.0, edge, edge, 0));
-            class_tiles.push(ThermalModel::calibrated_active(
-                floorplan,
-                p1,
-                1,
-                tech.t_max(),
-                Celsius::new(45.0),
-            ));
+            let area = CORE_REGION_MM2 / (total_weight / f64::from(class.core.issue_width));
+            class_tiles.push(calibrated_tile(&tech, area));
             class_areas.push(area);
         }
         let dvfs = DvfsTable::for_technology(&tech, Hertz::from_mhz(200.0), Hertz::from_mhz(200.0))
@@ -222,7 +208,7 @@ impl ExperimentalChip {
     /// Average per-core area of the die's core region, mm² — the `a`
     /// input of a dark-silicon budget fit.
     pub fn core_area_mm2(&self) -> f64 {
-        DIE_EDGE_MM * DIE_EDGE_MM * CORE_REGION_FRAC / self.spec.n_cores() as f64
+        CORE_REGION_MM2 / self.spec.n_cores() as f64
     }
 
     /// Class 0's view of the chip ([`ChipSpec::base_config`]): the whole
@@ -404,14 +390,8 @@ impl ExperimentalChip {
             let tile = &self.class_tiles[class];
             let tile_fp = tile.floorplan();
             let vc = volts[class];
-            // Map this core's structure powers onto its single-tile
-            // floorplan (block names are "core0.<structure>").
-            let single = DynamicBreakdown {
-                cores: vec![*core],
-                l2: Watts::ZERO,
-                bus: breakdown.bus / n as f64,
-            };
-            let mut dyn_blocks = self.class_power[class].try_per_block(&single, tile_fp)?;
+            let bus_share = breakdown.bus / n as f64;
+            let mut dyn_blocks = core.try_per_block(bus_share, tile_fp)?;
             if faults.nan_power {
                 if let Some(first) = dyn_blocks.first_mut() {
                     *first = Watts::new(f64::NAN);
@@ -422,18 +402,17 @@ impl ExperimentalChip {
             let fix = tile.try_fixpoint(
                 &dyn_blocks,
                 |map| {
-                    let t = map
-                        .average_active_core_temperature(tile_fp, 1)
+                    let t = tile_fp
+                        .average_temperature(map.block_temps())
                         .max(tile.ambient());
-                    let s = statics.core_static(vc, t) * leakage_scale;
-                    tile.uniform_core_power(s, 1)
+                    tile.uniform_power(statics.core_static(vc, t) * leakage_scale)
                 },
                 opts,
             )?;
-            core_temps.push(fix.map.average_active_core_temperature(tile_fp, 1));
+            core_temps.push(tile_fp.average_temperature(fix.map.block_temps()));
             fixpoint_iterations += fix.iterations;
             static_total += fix.static_power.iter().copied().sum::<Watts>();
-            core_dynamic_total += core.total() + breakdown.bus / n as f64;
+            core_dynamic_total += core.total() + bus_share;
             class_cores[class] += 1;
         }
 
@@ -601,16 +580,45 @@ mod tests {
     #[test]
     fn core_area_covers_the_core_region() {
         let c = chip();
-        assert!((c.core_area_mm2() * 16.0 - DIE_EDGE_MM * DIE_EDGE_MM * 0.65).abs() < 1e-9);
+        assert!((c.core_area_mm2() * 16.0 - CORE_REGION_MM2).abs() < 1e-9);
         // Heterogeneous chips apportion the same region by issue width.
         let mix = ExperimentalChip::from_spec(ChipSpec::big_little(4, 12), Technology::itrs_65nm());
         let areas = &mix.class_areas;
         let total: f64 = areas[0] * 4.0 + areas[1] * 12.0;
-        assert!((total - DIE_EDGE_MM * DIE_EDGE_MM * 0.65).abs() < 1e-9);
+        assert!((total - CORE_REGION_MM2).abs() < 1e-9);
         // A 2-wide little tile is half the area of a 4-wide big tile.
         assert!((areas[0] / areas[1] - 2.0).abs() < 1e-12);
         // One class: every tile is exactly the average core area.
         assert_eq!(c.class_areas, vec![c.core_area_mm2()]);
+    }
+
+    #[test]
+    fn every_tile_lies_inside_the_thermal_oracles_range() {
+        // The lu-solve and thermal-transient oracles draw tile edges from
+        // TILE_EDGE_MM only: a chip shape whose tiles fall outside it
+        // would be solved on networks the oracles never check.
+        use tlp_check::oracles::TILE_EDGE_MM;
+        let inside = |what: &str, tile: &ThermalModel| {
+            let edge = tile.floorplan().total_area().as_f64().sqrt();
+            assert!(
+                TILE_EDGE_MM.contains(&edge),
+                "{what}: {edge:.2} mm tile outside the oracles' {TILE_EDGE_MM:?} mm"
+            );
+        };
+        let specs = (1..=16)
+            .map(ChipSpec::ispass05)
+            .chain([ChipSpec::big_little(4, 12), ChipSpec::big_little(1, 1)]);
+        for spec in specs {
+            let tag = spec.tag();
+            let chip = ExperimentalChip::from_spec(spec, Technology::itrs_65nm());
+            for tile in &chip.class_tiles {
+                inside(&tag, tile);
+            }
+        }
+        for cores in [16, 32] {
+            let chip = tlp_analytic::AnalyticChip::new(Technology::itrs_65nm(), cores);
+            inside(&format!("analytic {cores}-core chip"), chip.thermal());
+        }
     }
 
     #[test]

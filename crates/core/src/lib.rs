@@ -68,7 +68,7 @@ pub mod shard;
 pub mod sweep;
 pub mod transient;
 
-pub use chipstate::{ChipMeasurement, ExperimentalChip, MeasureFaults, DIE_EDGE_MM};
+pub use chipstate::{ChipMeasurement, ExperimentalChip, MeasureFaults};
 pub use error::{
     error_chain, CoreLimit, ExperimentError, InterruptInfo, TraceError, UnrunnableCell,
 };
@@ -79,6 +79,7 @@ pub use sweep::{
     CellOutcome, Fault, FaultPlan, RetryPolicy, SweepBuilder, SweepCell, SweepOptions, SweepReport,
     SweepSpec, SweepTiming, TraceSink,
 };
+pub use tlp_analytic::DIE_EDGE_MM;
 
 // Re-export the stack so downstream users need one dependency.
 pub use tlp_analytic as analytic;

@@ -7,7 +7,7 @@
 //! the instantaneous temperature. Useful for seeing barrier-phase power
 //! swings and the thermal time constants the steady-state numbers hide.
 
-use tlp_power::DynamicBreakdown;
+use tlp_power::CoreDynamic;
 use tlp_sim::chip::SampleWindow;
 use tlp_sim::{CmpSimulator, SimResult};
 use tlp_tech::units::{Celsius, Seconds, Volts, Watts};
@@ -94,7 +94,7 @@ pub fn trace_from_windows(
     time_dilation: f64,
 ) -> TransientTrace {
     let tile = chip.tile_thermal();
-    let tile_fp = tile.floorplan().clone();
+    let tile_fp = tile.floorplan();
     let n = result.n_threads.max(1);
     // Node vector: blocks + spreader + sink, all starting at ambient.
     let n_nodes = tile_fp.blocks().len() + 2;
@@ -110,7 +110,7 @@ pub fn trace_from_windows(
         let cycles = (w.end_cycle - w.start_cycle).max(1);
         let dt = Seconds::new(cycles as f64 / result.frequency.as_f64() * time_dilation);
         // Average the gang's activity onto one representative tile.
-        let mut avg = tlp_power::CoreDynamic::default();
+        let mut avg = CoreDynamic::default();
         let window_result = SimResult {
             cycles,
             frequency: result.frequency,
@@ -136,36 +136,26 @@ pub fn trace_from_windows(
             avg.lsq += c.lsq;
         }
         let k = 1.0 / n as f64;
-        let single = DynamicBreakdown {
-            cores: vec![tlp_power::CoreDynamic {
-                clock: avg.clock * k,
-                icache: avg.icache * k,
-                dcache: avg.dcache * k,
-                int_exec: avg.int_exec * k,
-                fp_exec: avg.fp_exec * k,
-                regfile: avg.regfile * k,
-                issue: avg.issue * k,
-                bpred: avg.bpred * k,
-                lsq: avg.lsq * k,
-            }],
-            l2: Watts::ZERO,
-            bus: Watts::ZERO,
+        let core = CoreDynamic {
+            clock: avg.clock * k,
+            icache: avg.icache * k,
+            dcache: avg.dcache * k,
+            int_exec: avg.int_exec * k,
+            fp_exec: avg.fp_exec * k,
+            regfile: avg.regfile * k,
+            issue: avg.issue * k,
+            bpred: avg.bpred * k,
+            lsq: avg.lsq * k,
         };
-        let dyn_blocks = chip.power_calculator().per_block(&single, &tile_fp);
+        let dyn_blocks = core
+            .try_per_block(Watts::ZERO, tile_fp)
+            .expect("a core tile has every structure block");
 
         // Static at the current (start-of-window) average core temperature.
-        let t_now = {
-            let block_avg: f64 = tile_fp
-                .blocks()
-                .iter()
-                .zip(&temps)
-                .map(|(b, t)| t.as_f64() * b.area().as_f64())
-                .sum::<f64>()
-                / tile_fp.total_area().as_f64();
-            Celsius::new(block_avg)
-        };
-        let static_core = chip.static_model().core_static(v, t_now);
-        let static_blocks = tile.uniform_core_power(static_core, 1);
+        let static_core = chip
+            .static_model()
+            .core_static(v, tile_fp.average_temperature(&temps));
+        let static_blocks = tile.uniform_power(static_core);
         let total: Vec<Watts> = dyn_blocks
             .iter()
             .zip(&static_blocks)
@@ -181,22 +171,11 @@ pub fn trace_from_windows(
             .step(&temps, &total, tile.ambient());
         time += dt.as_f64();
 
-        let t_end = {
-            let block_avg: f64 = tile_fp
-                .blocks()
-                .iter()
-                .zip(&temps)
-                .map(|(b, t)| t.as_f64() * b.area().as_f64())
-                .sum::<f64>()
-                / tile_fp.total_area().as_f64();
-            Celsius::new(block_avg)
-        };
-        let per_core_dynamic: Watts = single.cores[0].total();
         points.push(TransientPoint {
             time,
-            dynamic: per_core_dynamic * n as f64,
+            dynamic: core.total() * n as f64,
             static_: static_core * n as f64,
-            temperature: t_end,
+            temperature: tile_fp.average_temperature(&temps),
         });
     }
     TransientTrace {

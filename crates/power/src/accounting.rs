@@ -1,18 +1,19 @@
 //! Activity-based dynamic-power accounting (the Wattch step).
 //!
 //! Consumes a [`SimResult`]'s per-structure event counts and produces
-//! dynamic power per structure, per core, and per floorplan block, at a
-//! given supply voltage. Wattch-style aggressive conditional clocking is
-//! modeled: stalled cycles draw only a residual fraction of the clock
-//! tree; spin-wait cycles execute real instructions and are charged like
-//! active cycles (spinning burns power, as in the paper).
+//! dynamic power per structure and per core at a given supply voltage,
+//! and maps one core's structure powers onto the blocks of its EV6 core
+//! tile. Wattch-style aggressive conditional clocking is modeled: stalled
+//! cycles draw only a residual fraction of the clock tree; spin-wait
+//! cycles execute real instructions and are charged like active cycles
+//! (spinning burns power, as in the paper).
 
 use std::collections::BTreeMap;
 
 use tlp_sim::config::CmpConfig;
 use tlp_sim::{CoreStats, SimResult};
 use tlp_tech::units::{Joules, Seconds, Volts, Watts};
-use tlp_thermal::{BlockKind, Floorplan};
+use tlp_thermal::Floorplan;
 
 use crate::error::PowerError;
 use crate::structures::CoreEnergies;
@@ -52,6 +53,48 @@ impl CoreDynamic {
             + self.issue
             + self.bpred
             + self.lsq
+    }
+
+    /// Maps this core's structure powers onto the blocks of its core tile
+    /// (`core0.<structure>` names, as [`Floorplan::ev6_tile`] builds them),
+    /// returning one dynamic power entry per block. `bus_share`, the
+    /// core's share of the snooping-bus power, is folded into the clock
+    /// block (the interconnect runs over the cores).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PowerError::MissingBlock`] naming the first structure
+    /// block the floorplan lacks.
+    pub fn try_per_block(
+        &self,
+        bus_share: Watts,
+        tile: &Floorplan,
+    ) -> Result<Vec<Watts>, PowerError> {
+        let mut out = vec![Watts::ZERO; tile.blocks().len()];
+        let mut missing: Option<&str> = None;
+        let mut set = |name: &'static str, w: Watts| match tile.index_of(name) {
+            Some(idx) => out[idx] += w,
+            None => {
+                missing.get_or_insert(name);
+            }
+        };
+        set("core0.icache", self.icache);
+        set("core0.dcache", self.dcache);
+        set("core0.intexec", self.int_exec);
+        set("core0.fpexec", self.fp_exec);
+        set("core0.regfile", self.regfile);
+        // Rename and issue queue share the issue power.
+        set("core0.rename", self.issue * 0.5);
+        set("core0.issueq", self.issue * 0.5);
+        set("core0.bpred", self.bpred);
+        set("core0.lsq", self.lsq);
+        set("core0.clock", self.clock + bus_share);
+        match missing {
+            Some(name) => Err(PowerError::MissingBlock {
+                name: name.to_string(),
+            }),
+            None => Ok(out),
+        }
     }
 }
 
@@ -305,74 +348,6 @@ impl PowerCalculator {
         );
         Ok(DynamicBreakdown { cores, l2, bus })
     }
-
-    /// Distributes a breakdown onto the blocks of a CMP floorplan
-    /// (`core<i>.<structure>` names as produced by
-    /// [`Floorplan::ispass_cmp`]), returning one dynamic power entry per
-    /// block. Bus power is folded into the clock blocks (the interconnect
-    /// runs over the cores).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the floorplan lacks the expected block names for the
-    /// active cores; supervised callers should use
-    /// [`PowerCalculator::try_per_block`].
-    pub fn per_block(&self, breakdown: &DynamicBreakdown, floorplan: &Floorplan) -> Vec<Watts> {
-        self.try_per_block(breakdown, floorplan)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`PowerCalculator::per_block`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerError::MissingBlock`] naming the first absent
-    /// block.
-    pub fn try_per_block(
-        &self,
-        breakdown: &DynamicBreakdown,
-        floorplan: &Floorplan,
-    ) -> Result<Vec<Watts>, PowerError> {
-        let mut out = vec![Watts::ZERO; floorplan.blocks().len()];
-        let mut missing: Option<String> = None;
-        let mut set = |name: String, w: Watts| match floorplan.index_of(&name) {
-            Some(idx) => out[idx] += w,
-            None => {
-                if missing.is_none() {
-                    missing = Some(name);
-                }
-            }
-        };
-        let n = breakdown.cores.len();
-        for (i, c) in breakdown.cores.iter().enumerate() {
-            set(format!("core{i}.icache"), c.icache);
-            set(format!("core{i}.dcache"), c.dcache);
-            set(format!("core{i}.intexec"), c.int_exec);
-            set(format!("core{i}.fpexec"), c.fp_exec);
-            set(format!("core{i}.regfile"), c.regfile);
-            // Rename and issue queue share the issue power.
-            set(format!("core{i}.rename"), c.issue * 0.5);
-            set(format!("core{i}.issueq"), c.issue * 0.5);
-            set(format!("core{i}.bpred"), c.bpred);
-            set(format!("core{i}.lsq"), c.lsq);
-            set(format!("core{i}.clock"), c.clock + breakdown.bus / n as f64);
-        }
-        if let Some(l2_idx) = floorplan.index_of("l2") {
-            out[l2_idx] += breakdown.l2;
-        }
-        if let Some(name) = missing {
-            return Err(PowerError::MissingBlock { name });
-        }
-        // Inactive cores' blocks stay at zero (shut down, as in the paper).
-        for (idx, b) in floorplan.blocks().iter().enumerate() {
-            if let BlockKind::Core { core } = b.kind {
-                if core >= n {
-                    out[idx] = Watts::ZERO;
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -448,22 +423,18 @@ mod tests {
         ]);
         let calc = PowerCalculator::new(&cfg);
         let d = calc.dynamic(&r, Volts::new(1.1));
-        let fp = Floorplan::ispass_cmp(4, 15.6, 15.6);
-        let per_block = calc.per_block(&d, &fp);
+        let core = d.cores[0];
+        let tile = Floorplan::ev6_tile(3.5);
+        let per_block = core.try_per_block(d.bus, &tile).unwrap();
         let sum: f64 = per_block.iter().map(|w| w.as_f64()).sum();
+        let expected = core.total() + d.bus;
         assert!(
-            (sum - d.total().as_f64()).abs() < 1e-9,
-            "per-block {sum} != total {}",
-            d.total()
+            (sum - expected.as_f64()).abs() < 1e-9,
+            "per-block {sum} != core plus bus {expected}"
         );
-        // Inactive cores draw nothing.
-        for (idx, b) in fp.blocks().iter().enumerate() {
-            if let BlockKind::Core { core } = b.kind {
-                if core >= 1 {
-                    assert_eq!(per_block[idx], Watts::ZERO);
-                }
-            }
-        }
+        // Every structure lands on its own block.
+        let fp = tile.index_of("core0.fpexec").unwrap();
+        assert_eq!(per_block[fp], core.fp_exec);
     }
 
     #[test]
@@ -581,17 +552,22 @@ mod tests {
     #[test]
     fn missing_block_is_a_typed_error() {
         let (cfg, r) = run_ops(vec![Op::Int { count: 1_000 }]);
-        let calc = PowerCalculator::new(&cfg);
-        let d = calc.dynamic(&r, Volts::new(1.1));
-        // A two-core breakdown cannot be mapped onto a one-core
-        // floorplan: core1's blocks do not exist.
-        let mut wide = d.clone();
-        wide.cores.push(wide.cores[0]);
-        let fp = Floorplan::ispass_cmp(1, 10.0, 10.0);
-        let err = calc.try_per_block(&wide, &fp).unwrap_err();
-        assert!(matches!(
+        let d = PowerCalculator::new(&cfg).dynamic(&r, Volts::new(1.1));
+        // A floorplan with only an instruction cache has nowhere to put
+        // the other structures: the first absent block is named.
+        let fp = Floorplan::new(vec![tlp_thermal::Block {
+            name: "core0.icache".into(),
+            x_mm: 0.0,
+            y_mm: 0.0,
+            w_mm: 1.0,
+            h_mm: 1.0,
+        }]);
+        let err = d.cores[0].try_per_block(d.bus, &fp).unwrap_err();
+        assert_eq!(
             err,
-            crate::PowerError::MissingBlock { ref name } if name.starts_with("core1.")
-        ));
+            crate::PowerError::MissingBlock {
+                name: "core0.dcache".into()
+            }
+        );
     }
 }

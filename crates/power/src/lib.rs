@@ -10,8 +10,8 @@
 //! - [`arrays`] — CACTI-like per-access SRAM energy.
 //! - [`structures`] — the EV6-class per-structure energy table.
 //! - [`PowerCalculator`] — activity counters → dynamic power per
-//!   structure, per core, and per floorplan block (with Wattch-style
-//!   conditional clocking).
+//!   structure and per core (with Wattch-style conditional clocking);
+//!   [`CoreDynamic::try_per_block`] maps one core onto its EV6 core tile.
 //! - [`StaticPower`] — leakage power anchored at `P_S1(T_max)` and scaled
 //!   by the Eq. 3 curve-fitted formula.
 //! - [`Calibration`] — the §3.3 microbenchmark renormalization.

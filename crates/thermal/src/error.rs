@@ -57,6 +57,18 @@ pub enum ThermalError {
     },
 }
 
+impl ThermalError {
+    /// Fixpoint iterations performed before the solve failed.
+    pub fn iterations(&self) -> u32 {
+        match *self {
+            ThermalError::NoConvergence { iterations, .. }
+            | ThermalError::Diverged { iterations, .. }
+            | ThermalError::NonFinite { iterations, .. }
+            | ThermalError::DeadlineExceeded { iterations } => iterations,
+        }
+    }
+}
+
 impl fmt::Display for ThermalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -1,40 +1,22 @@
 //! Chip floorplans.
 //!
-//! The paper estimates its 16-core chip at 244.5 mm² (15.6 mm × 15.6 mm)
-//! with CACTI-derived areas, and feeds an Alpha EV6 floorplan to HotSpot.
-//! [`Floorplan`] describes a set of rectangular [`Block`]s; adjacency (for
-//! lateral heat flow) is derived geometrically from shared edges.
-//!
-//! Two constructors mirror the paper's setup: [`Floorplan::ev6_core`] for a
-//! single EV6-like core tile and [`Floorplan::ispass_cmp`] for the full CMP
-//! (a grid of core tiles plus a shared L2 slab).
+//! The paper feeds HotSpot's default single-core Alpha EV6 floorplan, so
+//! this reproduction solves every chip one core tile at a time (DESIGN.md
+//! §5, decision 4): [`Floorplan::ev6_tile`] is the one floorplan the chip
+//! models build. [`Floorplan`] describes any set of rectangular
+//! [`Block`]s; adjacency (for lateral heat flow) is derived geometrically
+//! from shared edges.
 
-use tlp_tech::units::SquareMillimeters;
-
-/// What a block is used for — power models treat cores and L2 differently
-/// (the paper excludes the cool L2 from power-density statistics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum BlockKind {
-    /// A functional block inside a processor core.
-    Core {
-        /// Index of the core this block belongs to.
-        core: usize,
-    },
-    /// Part of the shared L2 cache.
-    L2,
-}
+use tlp_tech::units::{Celsius, SquareMillimeters};
 
 /// A rectangular block of silicon.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Block {
-    /// Human-readable name, e.g. `"core3.dcache"`.
+    /// Human-readable name, e.g. `"core0.dcache"`.
     pub name: String,
-    /// What the block is used for.
-    pub kind: BlockKind,
-    /// Left edge, millimetres from chip origin.
+    /// Left edge, millimetres from the floorplan origin.
     pub x_mm: f64,
-    /// Bottom edge, millimetres from chip origin.
+    /// Bottom edge, millimetres from the floorplan origin.
     pub y_mm: f64,
     /// Width in millimetres.
     pub w_mm: f64,
@@ -112,10 +94,14 @@ const EV6_TILE_LAYOUT: &[(&str, f64, f64, f64, f64)] = &[
 /// ```
 /// use tlp_thermal::Floorplan;
 ///
-/// let chip = Floorplan::ispass_cmp(16, 15.6, 15.6);
-/// // 16 cores × 10 EV6 blocks + one L2 slab.
-/// assert_eq!(chip.blocks().len(), 161);
-/// assert!((chip.total_area().as_f64() - 15.6 * 15.6).abs() < 1e-6);
+/// // The core tile of the paper's 16-core die: 65 % of 15.6 mm × 15.6 mm
+/// // shared by 16 cores.
+/// let edge = (15.6f64 * 15.6 * 0.65 / 16.0).sqrt();
+/// let tile = Floorplan::ev6_tile(edge);
+/// // Ten EV6 functional blocks covering the square.
+/// assert_eq!(tile.blocks().len(), 10);
+/// assert!((tile.total_area().as_f64() - edge * edge).abs() < 1e-9);
+/// assert!(tile.index_of("core0.fpexec").is_some());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Floorplan {
@@ -140,139 +126,26 @@ impl Floorplan {
         Self { blocks }
     }
 
-    /// A single EV6-like core tile of `w_mm × h_mm` at origin `(x, y)`,
-    /// with block names prefixed by `prefix`.
-    pub fn ev6_core(
-        prefix: &str,
-        x_mm: f64,
-        y_mm: f64,
-        w_mm: f64,
-        h_mm: f64,
-        core: usize,
-    ) -> Vec<Block> {
-        EV6_TILE_LAYOUT
-            .iter()
-            .map(|&(name, fx, fy, fw, fh)| Block {
-                name: format!("{prefix}.{name}"),
-                kind: BlockKind::Core { core },
-                x_mm: x_mm + fx * w_mm,
-                y_mm: y_mm + fy * h_mm,
-                w_mm: fw * w_mm,
-                h_mm: fh * h_mm,
-            })
-            .collect()
-    }
-
-    /// The paper's CMP floorplan: `n_cores` EV6 tiles in a grid occupying
-    /// the upper part of the die, with the shared L2 as a slab along the
-    /// bottom (roughly 35 % of die area for the 4 MB L2, per CACTI-style
-    /// scaling).
+    /// One EV6-like core tile, `edge_mm` on a side with its origin at
+    /// `(0, 0)`. The blocks are named `core0.<structure>`, the names the
+    /// power accounting maps a core's structure powers onto.
     ///
     /// # Panics
     ///
-    /// Panics if `n_cores` is zero or not expressible as a near-square grid
-    /// (any value up to 64 works: the grid is `ceil(sqrt(n))` wide).
-    pub fn ispass_cmp(n_cores: usize, die_w_mm: f64, die_h_mm: f64) -> Self {
-        assert!(n_cores > 0, "need at least one core");
-        let l2_frac = 0.35;
-        let l2_h = die_h_mm * l2_frac;
-        let core_region_h = die_h_mm - l2_h;
-
-        let cols = (n_cores as f64).sqrt().ceil() as usize;
-        let rows = n_cores.div_ceil(cols);
-        let tile_w = die_w_mm / cols as f64;
-        let tile_h = core_region_h / rows as f64;
-
-        let mut blocks = Vec::with_capacity(n_cores * EV6_TILE_LAYOUT.len() + 1);
-        blocks.push(Block {
-            name: "l2".into(),
-            kind: BlockKind::L2,
-            x_mm: 0.0,
-            y_mm: 0.0,
-            w_mm: die_w_mm,
-            h_mm: l2_h,
-        });
-        for core in 0..n_cores {
-            let col = core % cols;
-            let row = core / cols;
-            let x = col as f64 * tile_w;
-            let y = l2_h + row as f64 * tile_h;
-            blocks.extend(Self::ev6_core(
-                &format!("core{core}"),
-                x,
-                y,
-                tile_w,
-                tile_h,
-                core,
-            ));
-        }
-        // A trailing partially-filled row leaves dead silicon; model it as
-        // part of the L2 slab for area accounting simplicity (it conducts
-        // but dissipates nothing).
-        let used = rows * cols;
-        if used > n_cores {
-            let dead = used - n_cores;
-            let x0 = ((n_cores % cols) as f64) * tile_w;
-            let y0 = l2_h + ((rows - 1) as f64) * tile_h;
-            blocks.push(Block {
-                name: "spare".into(),
-                kind: BlockKind::L2,
-                x_mm: x0,
-                y_mm: y0,
-                w_mm: dead as f64 * tile_w,
-                h_mm: tile_h,
-            });
-        }
-        Self::new(blocks)
-    }
-
-    /// A heterogeneous CMP floorplan: one EV6-style tile per core, with
-    /// die area apportioned by `weights` (e.g. big cores weight 1.0,
-    /// little cores 0.35). The shared L2 stays a bottom slab as in
-    /// [`Floorplan::ispass_cmp`]; the core region above it is split into
-    /// full-height columns whose widths are proportional to the weights,
-    /// so a heavier class gets a proportionally larger (and better
-    /// spreading) tile. Block names follow the `core<i>.<unit>` scheme
-    /// the power mapper expects.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or any weight is non-positive or
-    /// non-finite.
-    pub fn hetero_cmp(weights: &[f64], die_w_mm: f64, die_h_mm: f64) -> Self {
-        assert!(!weights.is_empty(), "need at least one core");
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w > 0.0),
-            "weights must be positive"
-        );
-        let l2_frac = 0.35;
-        let l2_h = die_h_mm * l2_frac;
-        let core_region_h = die_h_mm - l2_h;
-        let total: f64 = weights.iter().sum();
-
-        let mut blocks = Vec::with_capacity(weights.len() * EV6_TILE_LAYOUT.len() + 1);
-        blocks.push(Block {
-            name: "l2".into(),
-            kind: BlockKind::L2,
-            x_mm: 0.0,
-            y_mm: 0.0,
-            w_mm: die_w_mm,
-            h_mm: l2_h,
-        });
-        let mut x = 0.0;
-        for (core, w) in weights.iter().enumerate() {
-            let tile_w = die_w_mm * w / total;
-            blocks.extend(Self::ev6_core(
-                &format!("core{core}"),
-                x,
-                l2_h,
-                tile_w,
-                core_region_h,
-                core,
-            ));
-            x += tile_w;
-        }
-        Self::new(blocks)
+    /// Panics if `edge_mm` is not positive.
+    pub fn ev6_tile(edge_mm: f64) -> Self {
+        Self::new(
+            EV6_TILE_LAYOUT
+                .iter()
+                .map(|&(name, fx, fy, fw, fh)| Block {
+                    name: format!("core0.{name}"),
+                    x_mm: fx * edge_mm,
+                    y_mm: fy * edge_mm,
+                    w_mm: fw * edge_mm,
+                    h_mm: fh * edge_mm,
+                })
+                .collect(),
+        )
     }
 
     /// All blocks.
@@ -285,48 +158,47 @@ impl Floorplan {
         SquareMillimeters::new(self.blocks.iter().map(|b| b.w_mm * b.h_mm).sum())
     }
 
-    /// Area of the blocks belonging to core `core`.
-    pub fn core_area(&self, core: usize) -> SquareMillimeters {
-        SquareMillimeters::new(
-            self.blocks
-                .iter()
-                .filter(|b| b.kind == BlockKind::Core { core })
-                .map(|b| b.w_mm * b.h_mm)
-                .sum(),
-        )
-    }
-
-    /// Indices of blocks belonging to core `core`.
-    pub fn core_block_indices(&self, core: usize) -> Vec<usize> {
-        self.blocks
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.kind == BlockKind::Core { core })
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Index of the block with the given name, if any.
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.blocks.iter().position(|b| b.name == name)
     }
 
-    /// Number of distinct cores present in the floorplan.
-    pub fn core_count(&self) -> usize {
-        self.blocks
-            .iter()
-            .filter_map(|b| match b.kind {
-                BlockKind::Core { core } => Some(core + 1),
-                BlockKind::L2 => None,
-            })
-            .max()
-            .unwrap_or(0)
+    /// Area-weighted average temperature over all blocks. `temps` holds
+    /// one temperature per block, in block order; trailing entries (the
+    /// spreader and sink nodes of a network's solution) are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `temps` is shorter than the block list.
+    pub fn average_temperature(&self, temps: &[Celsius]) -> Celsius {
+        assert!(
+            temps.len() >= self.blocks.len(),
+            "one temperature per block"
+        );
+        let mut sum = 0.0;
+        let mut area = 0.0;
+        for (b, t) in self.blocks.iter().zip(temps) {
+            let a = b.area().as_f64();
+            sum += t.as_f64() * a;
+            area += a;
+        }
+        Celsius::new(sum / area)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn block(name: &str, x_mm: f64, y_mm: f64, w_mm: f64, h_mm: f64) -> Block {
+        Block {
+            name: name.into(),
+            x_mm,
+            y_mm,
+            w_mm,
+            h_mm,
+        }
+    }
 
     #[test]
     fn ev6_tile_fractions_tile_the_unit_square() {
@@ -335,82 +207,29 @@ mod tests {
     }
 
     #[test]
-    fn cmp_floorplan_covers_die() {
-        for n in [1, 2, 4, 8, 16, 32] {
-            let f = Floorplan::ispass_cmp(n, 15.6, 15.6);
+    fn ev6_tile_covers_its_square() {
+        for edge in [2.22, 3.5, 12.58] {
+            let f = Floorplan::ev6_tile(edge);
+            assert_eq!(f.blocks().len(), EV6_TILE_LAYOUT.len());
             assert!(
-                (f.total_area().as_f64() - 15.6 * 15.6).abs() < 1e-6,
-                "{n} cores: area {}",
+                (f.total_area().as_f64() - edge * edge).abs() < 1e-9,
+                "{edge} mm tile: area {}",
                 f.total_area()
             );
-            assert_eq!(f.core_count(), n);
+            for b in f.blocks() {
+                assert!(b.name.starts_with("core0."), "{}", b.name);
+                assert!(b.x_mm >= 0.0 && b.x_mm + b.w_mm <= edge + 1e-9);
+                assert!(b.y_mm >= 0.0 && b.y_mm + b.h_mm <= edge + 1e-9);
+            }
         }
-    }
-
-    #[test]
-    fn core_areas_are_equal() {
-        let f = Floorplan::ispass_cmp(16, 15.6, 15.6);
-        let a0 = f.core_area(0).as_f64();
-        for c in 1..16 {
-            assert!((f.core_area(c).as_f64() - a0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn hetero_floorplan_apportions_area_by_weight() {
-        // Two big cores (weight 1.0) and four little ones (0.35).
-        let weights = [1.0, 1.0, 0.35, 0.35, 0.35, 0.35];
-        let f = Floorplan::hetero_cmp(&weights, 15.6, 15.6);
-        assert!((f.total_area().as_f64() - 15.6 * 15.6).abs() < 1e-6);
-        assert_eq!(f.core_count(), 6);
-        let big = f.core_area(0).as_f64();
-        let little = f.core_area(2).as_f64();
-        assert!((big / little - 1.0 / 0.35).abs() < 1e-9);
-        // Same per-unit naming scheme as the homogeneous plan.
-        assert!(f.index_of("core3.icache").is_some());
-        assert!(f.index_of("l2").is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "weights must be positive")]
-    fn hetero_floorplan_rejects_bad_weights() {
-        let _ = Floorplan::hetero_cmp(&[1.0, 0.0], 10.0, 10.0);
     }
 
     #[test]
     fn shared_edges_detected_between_neighbors() {
-        let a = Block {
-            name: "a".into(),
-            kind: BlockKind::L2,
-            x_mm: 0.0,
-            y_mm: 0.0,
-            w_mm: 1.0,
-            h_mm: 1.0,
-        };
-        let right = Block {
-            name: "b".into(),
-            kind: BlockKind::L2,
-            x_mm: 1.0,
-            y_mm: 0.5,
-            w_mm: 1.0,
-            h_mm: 1.0,
-        };
-        let above = Block {
-            name: "c".into(),
-            kind: BlockKind::L2,
-            x_mm: 0.25,
-            y_mm: 1.0,
-            w_mm: 0.5,
-            h_mm: 1.0,
-        };
-        let far = Block {
-            name: "d".into(),
-            kind: BlockKind::L2,
-            x_mm: 5.0,
-            y_mm: 5.0,
-            w_mm: 1.0,
-            h_mm: 1.0,
-        };
+        let a = block("a", 0.0, 0.0, 1.0, 1.0);
+        let right = block("b", 1.0, 0.5, 1.0, 1.0);
+        let above = block("c", 0.25, 1.0, 0.5, 1.0);
+        let far = block("d", 5.0, 5.0, 1.0, 1.0);
         assert!((a.shared_edge_mm(&right) - 0.5).abs() < 1e-12);
         assert!((a.shared_edge_mm(&above) - 0.5).abs() < 1e-12);
         assert_eq!(a.shared_edge_mm(&far), 0.0);
@@ -420,55 +239,17 @@ mod tests {
 
     #[test]
     fn corner_touch_is_not_adjacency() {
-        let a = Block {
-            name: "a".into(),
-            kind: BlockKind::L2,
-            x_mm: 0.0,
-            y_mm: 0.0,
-            w_mm: 1.0,
-            h_mm: 1.0,
-        };
-        let diag = Block {
-            name: "b".into(),
-            kind: BlockKind::L2,
-            x_mm: 1.0,
-            y_mm: 1.0,
-            w_mm: 1.0,
-            h_mm: 1.0,
-        };
+        let a = block("a", 0.0, 0.0, 1.0, 1.0);
+        let diag = block("b", 1.0, 1.0, 1.0, 1.0);
         assert_eq!(a.shared_edge_mm(&diag), 0.0);
     }
 
     #[test]
-    fn non_power_of_two_core_count_gets_spare_block() {
-        let f = Floorplan::ispass_cmp(3, 10.0, 10.0);
-        assert!(f.index_of("spare").is_some());
-        assert!((f.total_area().as_f64() - 100.0).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one core")]
-    fn zero_cores_panics() {
-        let _ = Floorplan::ispass_cmp(0, 10.0, 10.0);
-    }
-
-    #[test]
     fn index_of_finds_blocks() {
-        let f = Floorplan::ispass_cmp(2, 10.0, 10.0);
+        let f = Floorplan::ev6_tile(3.0);
         assert!(f.index_of("core0.dcache").is_some());
-        assert!(f.index_of("core1.clock").is_some());
+        assert!(f.index_of("core0.clock").is_some());
+        assert!(f.index_of("core1.clock").is_none());
         assert!(f.index_of("nope").is_none());
-    }
-
-    #[test]
-    fn core_block_indices_partition_cores() {
-        let f = Floorplan::ispass_cmp(4, 10.0, 10.0);
-        let mut all: Vec<usize> = Vec::new();
-        for c in 0..4 {
-            all.extend(f.core_block_indices(c));
-        }
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), 40); // 4 cores × 10 blocks, disjoint
     }
 }

@@ -209,26 +209,6 @@ impl RcNetwork {
         t.into_iter().map(Celsius::new).collect()
     }
 
-    /// One implicit-Euler transient step of length `dt` from temperatures
-    /// `t_now` under per-block powers. Returns the new node temperatures.
-    ///
-    /// One-shot convenience: this factors `(C/dt + G)` on every call.
-    /// Loops stepping at a fixed `dt` should build a [`TransientSolver`]
-    /// via [`RcNetwork::transient_solver`] once and reuse it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatches or a non-positive step.
-    pub fn transient_step(
-        &self,
-        t_now: &[Celsius],
-        powers: &[Watts],
-        ambient: Celsius,
-        dt: Seconds,
-    ) -> Vec<Celsius> {
-        self.transient_solver(dt).step(t_now, powers, ambient)
-    }
-
     /// Builds the reusable implicit-Euler stepper for time step `dt`:
     /// factors `(C/dt + G)` once so each [`TransientSolver::step`] is an
     /// O(n²) back-substitution.
@@ -350,7 +330,7 @@ mod tests {
     use crate::floorplan::Floorplan;
 
     fn small_net() -> (Floorplan, RcNetwork) {
-        let f = Floorplan::ispass_cmp(2, 10.0, 10.0);
+        let f = Floorplan::ev6_tile(3.5);
         let net = RcNetwork::build(&f, &PackageParams::default());
         (f, net)
     }
@@ -434,8 +414,9 @@ mod tests {
         let mut t = vec![amb; nb + 2];
         // March 900 s in 1 s implicit steps — several sink time constants
         // (the lumped sink's τ = C/g = 150 s dominates settling).
+        let solver = net.transient_solver(Seconds::new(1.0));
         for _ in 0..900 {
-            t = net.transient_step(&t, &powers, amb, Seconds::new(1.0));
+            t = solver.step(&t, &powers, amb);
         }
         for (now, goal) in t.iter().zip(&target) {
             assert!(
@@ -455,12 +436,39 @@ mod tests {
         let powers = vec![Watts::new(1.0); nb];
         let mut t = vec![amb; nb + 2];
         let mut prev_avg = 45.0;
+        let solver = net.transient_solver(Seconds::new(0.05));
         for _ in 0..20 {
-            t = net.transient_step(&t, &powers, amb, Seconds::new(0.05));
+            t = solver.step(&t, &powers, amb);
             let avg: f64 = t[..nb].iter().map(|x| x.as_f64()).sum::<f64>() / nb as f64;
             assert!(avg >= prev_avg - 1e-9);
             prev_avg = avg;
         }
+    }
+
+    /// One implicit-Euler step solved from scratch: assembles
+    /// `(C/dt + G) T' = C/dt·T + P + g_amb·T_amb` and hands it to
+    /// `solve_dense`, sharing nothing with [`TransientSolver`] but the
+    /// network's matrices.
+    fn one_shot_step(
+        net: &RcNetwork,
+        t_now: &[Celsius],
+        powers: &[Watts],
+        ambient: Celsius,
+        dt: Seconds,
+    ) -> Vec<Celsius> {
+        let n = net.n();
+        let mut a = net.conductance().to_vec();
+        let mut rhs = vec![0.0; n];
+        for i in 0..n {
+            let c_over_dt = net.c[i] / dt.as_f64();
+            a[i * n + i] += c_over_dt;
+            rhs[i] = c_over_dt * t_now[i].as_f64() + net.g_amb[i] * ambient.as_f64();
+        }
+        for (r, p) in rhs.iter_mut().zip(powers) {
+            *r += p.as_f64();
+        }
+        let t = tlp_tech::linalg::solve_dense(n, &a, &rhs).unwrap();
+        t.into_iter().map(Celsius::new).collect()
     }
 
     #[test]
@@ -476,7 +484,7 @@ mod tests {
         let mut via_one_shot = vec![amb; nb + 2];
         for _ in 0..25 {
             via_solver = solver.step(&via_solver, &powers, amb);
-            via_one_shot = net.transient_step(&via_one_shot, &powers, amb, dt);
+            via_one_shot = one_shot_step(&net, &via_one_shot, &powers, amb, dt);
         }
         assert_eq!(via_solver, via_one_shot);
     }
@@ -519,7 +527,7 @@ mod tests {
         let powers = vec![Watts::new(1.0); nb];
         assert_eq!(
             solver.step(&t0, &powers, Celsius::new(45.0)),
-            net.transient_step(&t0, &powers, Celsius::new(45.0), Seconds::new(0.5))
+            one_shot_step(&net, &t0, &powers, Celsius::new(45.0), Seconds::new(0.5))
         );
     }
 
@@ -564,15 +572,15 @@ mod tests {
 
     #[test]
     fn cached_steady_state_matches_one_shot_solve_exactly() {
-        // The 12-node core tile the chip models build (ten EV6 blocks at
-        // the 16-core ISPASS die's tile edge, plus spreader and sink) and
-        // a whole 8-core die; each again after the sink retune that the
-        // calibration bisection applies, which must refactor the cache.
-        let edge = (15.6f64 * 15.6 * 0.65 / 16.0).sqrt();
-        let tile = Floorplan::new(Floorplan::ev6_core("core0", 0.0, 0.0, edge, edge, 0));
-        assert_eq!(tile.blocks().len() + 2, 12);
-        for f in [tile, Floorplan::ispass_cmp(8, 12.0, 12.0)] {
+        // The 12-node core tiles the chip models build (ten EV6 blocks
+        // plus spreader and sink) at the tile edges of the 16-core and
+        // the 1-core ISPASS die; each again after the sink retune that
+        // the calibration bisection applies, which must refactor the
+        // cache.
+        for cores in [16.0, 1.0] {
+            let f = Floorplan::ev6_tile((15.6f64 * 15.6 * 0.65 / cores).sqrt());
             let mut net = RcNetwork::build(&f, &PackageParams::default());
+            assert_eq!(net.n(), 12);
             assert_steady_state_matches_solve_dense(&net);
             net.set_sink_conductance(3.7);
             assert_steady_state_matches_solve_dense(&net);

@@ -5,9 +5,7 @@
 //! Run with: `cargo run --release -p cmp-tlp --example thermal_map`
 
 use cmp_tlp::ExperimentalChip;
-use tlp_power::DynamicBreakdown;
 use tlp_sim::ChipSpec;
-use tlp_tech::units::Watts;
 use tlp_tech::Technology;
 use tlp_workloads::{gang, AppId, Scale};
 
@@ -25,13 +23,10 @@ fn main() {
     for app in [AppId::Fmm, AppId::Ocean] {
         let run = chip.run(gang(app, 1, Scale::Test, 3), op);
         let breakdown = chip.power_calculator().dynamic(&run, v);
-        let single = DynamicBreakdown {
-            cores: vec![breakdown.cores[0]],
-            l2: Watts::ZERO,
-            bus: breakdown.bus,
-        };
         let tile = chip.tile_thermal();
-        let per_block = chip.power_calculator().per_block(&single, tile.floorplan());
+        let per_block = breakdown.cores[0]
+            .try_per_block(breakdown.bus, tile.floorplan())
+            .expect("a core tile has every structure block");
         let map = tile.steady_state(&per_block);
 
         let temps = map.block_temps();
