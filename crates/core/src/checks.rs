@@ -50,6 +50,7 @@ use tlp_tech::Technology;
 use tlp_workloads::{AppId, Scale};
 
 use crate::chipstate::ExperimentalChip;
+use crate::journal::TempDir;
 use crate::serve::http::{read_request, HttpLimits, Response};
 use crate::serve::jobs::JobRecord;
 use crate::serve::router;
@@ -876,29 +877,11 @@ fn shrink_shard_case(c: &ShardCase) -> Vec<ShardCase> {
     out
 }
 
-/// A scratch directory deleted when the case ends, pass or fail.
-struct TempDir(PathBuf);
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn scratch_dir(tag: u64) -> Result<TempDir, String> {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let unique = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "cmp-tlp-shard-oracle-{}-{unique}-{tag:x}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    Ok(TempDir(dir))
-}
-
 fn shard_merge_check(c: &ShardCase) -> Result<(), String> {
     let chip = shared_chip();
-    let dir = scratch_dir(c.seed ^ c.chaos_seed)?;
+    // Deleted when the case ends, pass or fail.
+    let dir = TempDir::new(&format!("cmp-tlp-shard-oracle-{:x}", c.seed ^ c.chaos_seed))
+        .map_err(|e| format!("cannot create a scratch directory: {e}"))?;
     let (clock, hands) = ShardClock::manual(0);
     let board = ShardBoard::open(dir.0.join("board"), clock)
         .map_err(|e| format!("cannot open the shard board: {e}"))?;

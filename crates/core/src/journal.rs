@@ -287,19 +287,30 @@ pub fn render_line(record: &Json) -> String {
 /// truncated upload is rejected by the exact FNV recovery path a local
 /// resume uses.
 pub fn checked_records(text: &str) -> (Vec<Json>, usize) {
+    let (lines, torn) = checked_lines(text);
+    (lines.into_iter().map(|(_, record)| record).collect(), torn)
+}
+
+/// The one journal scanner, behind [`checked_records`] and a resume's
+/// replay: each accepted line's body (without its newline) with its
+/// parsed record, and the byte count of the discarded tail.
+fn checked_lines(text: &str) -> (Vec<(&str, Json)>, usize) {
     let mut consumed = 0usize;
-    let mut records = Vec::new();
+    let mut lines = Vec::new();
     for line in text.split_inclusive('\n') {
         let body = line.strip_suffix('\n').unwrap_or(line);
         match Journal::parse_line(body) {
+            // A line that fails its checksum, fails to parse, or is
+            // truncated (no trailing newline counts: the write was
+            // torn) starts the discarded tail.
             Some(record) if line.ends_with('\n') => {
                 consumed += line.len();
-                records.push(record);
+                lines.push((body, record));
             }
             _ => break,
         }
     }
-    (records, text.len() - consumed)
+    (lines, text.len() - consumed)
 }
 
 pub(crate) fn field<'a>(j: &'a Json, key: &str) -> Option<&'a Json> {
@@ -342,6 +353,29 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     f.sync_all()?;
     drop(f);
     std::fs::rename(&tmp, path)
+}
+
+/// A fresh scratch directory `{temp}/{prefix}-{pid}-{n}` (`n` unique in
+/// the process), deleted with its contents on drop — also when a failing
+/// test or oracle case unwinds past it.
+pub(crate) struct TempDir(pub(crate) PathBuf);
+
+impl TempDir {
+    pub(crate) fn new(prefix: &str) -> std::io::Result<Self> {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("{prefix}-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir)?;
+        Ok(Self(dir))
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn row_json(row: &Scenario1Row) -> Json {
@@ -667,39 +701,23 @@ impl Journal {
     /// Replays `text`, tolerating (and measuring) a torn tail.
     fn load(&mut self, text: &str, fingerprint: u64) -> Result<(), JournalError> {
         let display = self.path.display().to_string();
-        let mut consumed = 0usize;
-        let mut records = Vec::new();
-        let mut lines = Vec::new();
-        for line in text.split_inclusive('\n') {
-            let body = line.strip_suffix('\n').unwrap_or(line);
-            let parsed = Self::parse_line(body);
-            match parsed {
-                // A line that fails its checksum, fails to parse, or is
-                // truncated (no trailing newline counts: the write was
-                // torn) starts the discarded tail.
-                Some(record) if line.ends_with('\n') => {
-                    consumed += line.len();
-                    lines.push(body.to_string());
-                    records.push(record);
-                }
-                _ => break,
-            }
-        }
-        self.recovery.torn_tail_bytes = text.len() - consumed;
+        let (lines, torn) = checked_lines(text);
+        self.recovery.torn_tail_bytes = torn;
 
-        let mut it = records.into_iter();
-        let header = it.next().ok_or_else(|| JournalError::Corrupt {
-            path: display.clone(),
-            message: "no valid header record".to_string(),
-        })?;
-        if str_field(&header, "kind") != Some("header") {
+        let Some((_, header)) = lines.first() else {
+            return Err(JournalError::Corrupt {
+                path: display,
+                message: "no valid header record".to_string(),
+            });
+        };
+        if str_field(header, "kind") != Some("header") {
             return Err(JournalError::Corrupt {
                 path: display.clone(),
                 message: "first record is not a header".to_string(),
             });
         }
         let expected = format!("{fingerprint:016x}");
-        let found = str_field(&header, "fingerprint").unwrap_or("<absent>");
+        let found = str_field(header, "fingerprint").unwrap_or("<absent>");
         if found != expected {
             return Err(JournalError::SpecMismatch {
                 path: display,
@@ -708,11 +726,14 @@ impl Journal {
             });
         }
 
-        for record in it {
+        for (_, record) in &lines[1..] {
             self.recovery.records_recovered += 1;
-            self.apply(&record);
+            self.apply(record);
         }
-        self.lines = lines;
+        self.lines = lines
+            .into_iter()
+            .map(|(body, _)| body.to_string())
+            .collect();
         Ok(())
     }
 

@@ -711,15 +711,10 @@ pub fn parse_submission(doc: &Json) -> Result<JobRecord, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::TempDir;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "tlp-jobstore-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        dir
+    fn temp_dir(tag: &str) -> TempDir {
+        TempDir::new(&format!("tlp-jobstore-{tag}")).unwrap()
     }
 
     fn record() -> JobRecord {
@@ -728,7 +723,8 @@ mod tests {
 
     #[test]
     fn create_assigns_sequential_ids() {
-        let store = FsJobStore::open(temp_dir("seq")).unwrap();
+        let dir = temp_dir("seq");
+        let store = FsJobStore::open(&dir.0).unwrap();
         let a = store.create(record()).unwrap();
         let b = store.create(record()).unwrap();
         assert_eq!(a.value.id, "j000001");
@@ -740,9 +736,9 @@ mod tests {
     #[test]
     fn create_reads_the_next_id_from_file_names_not_records() {
         let dir = temp_dir("corrupt-create");
-        let store = FsJobStore::open(&dir).unwrap();
+        let store = FsJobStore::open(&dir.0).unwrap();
         store.create(record()).unwrap();
-        fs::write(dir.join("j000005.job.json"), "{ not a record").unwrap();
+        fs::write(dir.0.join("j000005.job.json"), "{ not a record").unwrap();
         let created = store.create(record()).unwrap();
         assert_eq!(created.value.id, "j000006");
         assert_eq!(created.value.seq, 6);
@@ -758,24 +754,24 @@ mod tests {
         // A crash between write and rename leaves `{name}.tmp{pid}` beside
         // the records: neither the next id nor the listing may read it.
         let dir = temp_dir("leftover-tmp");
-        let store = FsJobStore::open(&dir).unwrap();
+        let store = FsJobStore::open(&dir.0).unwrap();
         store.create(record()).unwrap();
-        fs::write(dir.join("j000009.job.json.tmp4242"), "{ torn").unwrap();
+        fs::write(dir.0.join("j000009.job.json.tmp4242"), "{ torn").unwrap();
         assert_eq!(store.create(record()).unwrap().value.id, "j000002");
         assert_eq!(store.list().unwrap().len(), 2);
         // Completed writes leave no tmp file of their own behind.
-        let names: Vec<String> = fs::read_dir(&dir)
+        let names: Vec<String> = fs::read_dir(&dir.0)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .filter(|name| name.contains(".tmp"))
             .collect();
         assert_eq!(names, ["j000009.job.json.tmp4242"]);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn records_round_trip_through_disk() {
-        let store = FsJobStore::open(temp_dir("roundtrip")).unwrap();
+        let dir = temp_dir("roundtrip");
+        let store = FsJobStore::open(&dir.0).unwrap();
         let mut r = record();
         r.error_chain = vec!["outer".into(), "inner".into()];
         r.report = Some(Json::object([("cells_total", 2u64)]));
@@ -786,7 +782,8 @@ mod tests {
 
     #[test]
     fn commit_bumps_version_and_detects_conflicts() {
-        let store = FsJobStore::open(temp_dir("conflict")).unwrap();
+        let dir = temp_dir("conflict");
+        let store = FsJobStore::open(&dir.0).unwrap();
         let created = store.create(record()).unwrap();
         let id = created.value.id.clone();
 
@@ -810,7 +807,8 @@ mod tests {
 
     #[test]
     fn abort_removes_the_record() {
-        let store = FsJobStore::open(temp_dir("abort")).unwrap();
+        let dir = temp_dir("abort");
+        let store = FsJobStore::open(&dir.0).unwrap();
         let created = store.create(record()).unwrap();
         let id = created.value.id.clone();
         assert_eq!(
@@ -832,13 +830,13 @@ mod tests {
     fn list_orders_by_seq_and_survives_restart() {
         let dir = temp_dir("restart");
         {
-            let store = FsJobStore::open(&dir).unwrap();
+            let store = FsJobStore::open(&dir.0).unwrap();
             store.create(record()).unwrap();
             store.create(record()).unwrap();
         }
         // A fresh store over the same directory sees both jobs and
         // continues the sequence.
-        let store = FsJobStore::open(&dir).unwrap();
+        let store = FsJobStore::open(&dir.0).unwrap();
         let jobs = store.list().unwrap();
         assert_eq!(
             jobs.iter().map(|j| j.value.seq).collect::<Vec<_>>(),
@@ -867,7 +865,8 @@ mod tests {
         assert_eq!(r.spec().works().len(), 2);
 
         // The loads survive the disk roundtrip.
-        let store = FsJobStore::open(temp_dir("server-loads")).unwrap();
+        let dir = temp_dir("server-loads");
+        let store = FsJobStore::open(&dir.0).unwrap();
         let created = store.create(r).unwrap();
         let read = store.snapshot(&created.value.id).unwrap();
         assert_eq!(read.value.server_loads, vec![2_000_000, 8_000_000]);
@@ -895,7 +894,8 @@ mod tests {
         assert_eq!(r.budget, Some((111.0, 125.0)));
 
         // Round-trip through disk.
-        let store = FsJobStore::open(temp_dir("hetero-axes")).unwrap();
+        let dir = temp_dir("hetero-axes");
+        let store = FsJobStore::open(&dir.0).unwrap();
         let created = store.create(r).unwrap();
         let read = store.snapshot(&created.value.id).unwrap();
         assert_eq!(read.value.core_mix, Some((1, 2)));

@@ -996,22 +996,10 @@ mod tests {
     use tlp_tech::Technology;
     use tlp_workloads::{AppId, Scale};
 
-    struct TempDir(PathBuf);
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = fs::remove_dir_all(&self.0);
-        }
-    }
+    use crate::journal::TempDir;
 
     fn temp_dir(tag: &str) -> TempDir {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let unique = NEXT.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "tlp-shard-board-{tag}-{}-{unique}",
-            std::process::id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        TempDir(dir)
+        TempDir::new(&format!("tlp-shard-board-{tag}")).unwrap()
     }
 
     fn chip() -> ExperimentalChip {

@@ -192,34 +192,17 @@ fn expect_landed(out: Result<SegmentOutcome, ShardError>) -> Result<(), String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
     use tlp_sim::ChipSpec;
     use tlp_tech::json::ToJson as _;
     use tlp_tech::Technology;
     use tlp_workloads::{AppId, Scale};
 
+    use crate::journal::TempDir;
     use crate::serve::jobs::JobRecord;
     use crate::shard::board::Clock;
 
-    struct TempDir(PathBuf);
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-
     fn temp_dir(tag: &str) -> TempDir {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let unique = NEXT.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "tlp-shard-chaos-{tag}-{}-{unique}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
+        TempDir::new(&format!("tlp-shard-chaos-{tag}")).unwrap()
     }
 
     #[test]
