@@ -12,7 +12,12 @@ use tlp_tech::Technology;
 
 fn main() {
     let scale = scale_from_args();
-    eprintln!("fig3: running at {scale:?} scale (use --quick for a fast pass)");
+    let hint = if scale == Scale::Paper {
+        " (use --quick for a fast pass)"
+    } else {
+        ""
+    };
+    eprintln!("fig3: running at {scale:?} scale{hint}");
     let chip = ExperimentalChip::from_spec(ChipSpec::ispass05(16), Technology::itrs_65nm());
 
     eprintln!("  profiling + re-simulating all applications in one sweep ...");

@@ -11,7 +11,12 @@ use tlp_tech::Technology;
 
 fn main() {
     let scale = scale_from_args();
-    eprintln!("fig4: running at {scale:?} scale (use --quick for a fast pass)");
+    let hint = if scale == Scale::Paper {
+        " (use --quick for a fast pass)"
+    } else {
+        ""
+    };
+    eprintln!("fig4: running at {scale:?} scale{hint}");
     let chip = ExperimentalChip::from_spec(ChipSpec::ispass05(16), Technology::itrs_65nm());
 
     // The paper picks FMM, Cholesky, Radix — descending computational
