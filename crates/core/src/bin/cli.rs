@@ -28,6 +28,7 @@ use cmp_tlp::cli_args::{
 };
 use cmp_tlp::jsonout;
 use cmp_tlp::prelude::*;
+use cmp_tlp::serve::jobs::{app_from_name, JobRecord};
 use cmp_tlp::serve::{ServeConfig, Server};
 use cmp_tlp::shard::{run_worker, WorkerConfig};
 use cmp_tlp::{checks, report, scenario1, scenario2};
@@ -76,20 +77,16 @@ impl From<ExperimentError> for CliError {
 }
 
 fn parse_app(name: &str) -> Result<AppId, String> {
-    let target = name.to_ascii_lowercase().replace(['-', '_'], "");
-    AppId::ALL
-        .into_iter()
-        .find(|a| a.name().to_ascii_lowercase().replace('-', "") == target)
-        .ok_or_else(|| {
-            format!(
-                "unknown application '{name}' (expected one of: {})",
-                AppId::ALL
-                    .iter()
-                    .map(|a| a.name())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        })
+    app_from_name(name).ok_or_else(|| {
+        format!(
+            "unknown application '{name}' (expected one of: {})",
+            AppId::ALL
+                .iter()
+                .map(|a| a.name())
+                .collect::<Vec<_>>()
+                .join(", ")
+        )
+    })
 }
 
 fn usage() -> ! {
@@ -326,25 +323,16 @@ fn run_command(
                 .map(|a| parse_app(a))
                 .collect::<Result<Vec<_>, _>>()?;
             let chip = ExperimentalChip::from_spec(ChipSpec::ispass05(16), tech);
-            let mut spec = SweepSpec::fig3(apps, scale, DEFAULT_SEED);
-            spec.server_loads = chip_args.server_loads.clone();
-            if let Some(counts) = &chip_args.cores {
-                spec.core_counts = counts.clone();
-            }
-            let mut builder = chip
-                .sweep()
-                .grid(spec)
+            let fig3 = SweepSpec::fig3(apps, scale, DEFAULT_SEED);
+            let counts = chip_args.cores.clone().unwrap_or(fig3.core_counts);
+            let mut job = JobRecord::new(fig3.apps, counts, scale, DEFAULT_SEED);
+            job.server_loads = chip_args.server_loads.clone();
+            job.core_mix = chip_args.core_mix;
+            job.budget = chip_args.budget;
+            let mut builder = job
+                .sweep(&chip)
                 .threads(common.threads)
                 .trace(common.sink());
-            if let Some((big, little)) = chip_args.core_mix {
-                builder = builder.core_mix(big, little);
-            }
-            if let Some((area_mm2, tdp_watts)) = chip_args.budget {
-                builder = builder.budget(tlp_analytic::BudgetSpec {
-                    area_mm2,
-                    tdp_watts,
-                });
-            }
             if let Some(d) = deadline {
                 builder = builder.cell_deadline(d);
             }
@@ -377,11 +365,15 @@ fn run_command(
                 }
                 Err(e) => return Err(e.into()),
             };
-            // Wall clock is nondeterministic, so the summary goes to
-            // stderr and the JSON payload excludes timing: --json stdout
-            // is byte-identical for any --threads. (The human listing
-            // below does show per-cell seconds — it is for reading, not
+            // What a reopened journal recovered, and the wall clock, are
+            // run records, not results: they go to stderr and the JSON
+            // payload excludes them, so --json stdout is byte-identical
+            // for any --threads and any resume. (The human listing below
+            // does show per-cell seconds — it is for reading, not
             // diffing.)
+            if let (Some(recovery), Some(path)) = (&report.timing.recovery, &journal_path) {
+                eprintln!("{}", recovery.summary(std::path::Path::new(path)));
+            }
             eprintln!("{}", report.timing.summary());
             if json {
                 println!("{}", report.to_json().to_string_pretty());

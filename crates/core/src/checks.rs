@@ -35,8 +35,6 @@
 //! queueing-sanity oracles from [`tlp_check::server_oracles`]
 //! (`latency-sanity`, `server-ff-identity`).
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -322,23 +320,12 @@ fn shrink_resume_case(c: &ResumeCase) -> Vec<ResumeCase> {
     out
 }
 
-/// A scratch journal path that is deleted when the case ends, pass or
-/// fail, so failing shrink runs don't litter the temp directory.
-struct TempJournal(PathBuf);
-
-impl Drop for TempJournal {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
-
-fn scratch_journal(tag: u64) -> TempJournal {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let unique = NEXT.fetch_add(1, Ordering::Relaxed);
-    TempJournal(std::env::temp_dir().join(format!(
-        "cmp-tlp-resume-oracle-{}-{unique}-{tag:x}.journal",
-        std::process::id()
-    )))
+/// A scratch directory for one case's journal, deleted when the case
+/// ends, pass or fail, so failing shrink runs don't litter the temp
+/// directory.
+fn scratch_dir(oracle: &str, tag: u64) -> Result<TempDir, String> {
+    TempDir::new(&format!("cmp-tlp-{oracle}-oracle-{tag:x}"))
+        .map_err(|e| format!("cannot create a scratch directory: {e}"))
 }
 
 fn resume_check(c: &ResumeCase) -> Result<(), String> {
@@ -369,8 +356,8 @@ fn resume_check(c: &ResumeCase) -> Result<(), String> {
         .to_json()
         .to_string_pretty();
 
-    let journal = scratch_journal(c.sweep.seed ^ c.keep_records);
-    let path = journal.0.clone();
+    let dir = scratch_dir("resume", c.sweep.seed ^ c.keep_records)?;
+    let path = dir.0.join("sweep.journal");
     let full = configured()
         .checkpoint(&path)
         .run()
@@ -461,8 +448,8 @@ fn hetero_identity_check(c: &SweepCase) -> Result<(), String> {
     }
     let policy = RetryPolicy::default();
     let run = |chip: &ExperimentalChip| -> Result<(SweepReport, String), String> {
-        let journal = scratch_journal(c.seed);
-        let path = journal.0.clone();
+        let dir = scratch_dir("hetero", c.seed)?;
+        let path = dir.0.join("sweep.journal");
         let r = chip
             .sweep()
             .grid(spec.clone())
@@ -879,9 +866,7 @@ fn shrink_shard_case(c: &ShardCase) -> Vec<ShardCase> {
 
 fn shard_merge_check(c: &ShardCase) -> Result<(), String> {
     let chip = shared_chip();
-    // Deleted when the case ends, pass or fail.
-    let dir = TempDir::new(&format!("cmp-tlp-shard-oracle-{:x}", c.seed ^ c.chaos_seed))
-        .map_err(|e| format!("cannot create a scratch directory: {e}"))?;
+    let dir = scratch_dir("shard", c.seed ^ c.chaos_seed)?;
     let (clock, hands) = ShardClock::manual(0);
     let board = ShardBoard::open(dir.0.join("board"), clock)
         .map_err(|e| format!("cannot open the shard board: {e}"))?;

@@ -307,6 +307,7 @@ mod tests {
                 threads: 1,
                 total_seconds: 0.25,
                 cell_seconds: vec![0.25],
+                recovery: None,
             },
             chip: None,
             budget: None,
@@ -348,6 +349,7 @@ mod tests {
                 threads: 1,
                 total_seconds: 0.1,
                 cell_seconds: vec![0.0],
+                recovery: None,
             },
             chip: None,
             budget: None,

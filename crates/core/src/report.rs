@@ -400,6 +400,7 @@ mod tests {
                 threads: 1,
                 total_seconds: 0.5,
                 cell_seconds: vec![0.25, 0.15, 0.0, 0.1],
+                recovery: None,
             },
             chip: None,
             budget: None,

@@ -7,7 +7,7 @@ use tlp_obs::metrics::{SERVE_HTTP_RATE_LIMITED, SERVE_JOBS_SHED, SERVE_JOBS_SUBM
 use tlp_tech::json::{Json, JsonLimits};
 
 use super::http::{Request, Response};
-use super::jobs::{parse_submission, scale_name, JobRecord, JobState, JobStore, JobStoreError};
+use super::jobs::{parse_submission, JobRecord, JobState, JobStore, JobStoreError};
 use super::middleware::Admission;
 use super::router::{query_param, route, Route};
 use super::{pump, Ctx};
@@ -57,38 +57,18 @@ pub(crate) fn handle<'a>(ctx: Ctx<'a>, p: &Pool<'a>, req: &Request, ip: IpAddr) 
 
 /// Summary document served for a job in listings, submissions, and
 /// status responses.
-fn job_summary(record: &JobRecord) -> Json {
+pub(super) fn job_summary(record: &JobRecord) -> Json {
     let mut doc = Json::object([
         ("id", Json::from(record.id.as_str())),
         ("state", Json::from(record.state.name())),
-        ("apps", Json::array(&record.apps, |a| a.name())),
-        (
-            "server_loads",
-            Json::array(&record.server_loads, |&rps| rps as u64),
-        ),
-        ("core_counts", Json::array(&record.core_counts, |&n| n)),
-        ("scale", Json::from(scale_name(record.scale))),
-        ("seed", Json::from(format!("{:#x}", record.seed))),
-        (
-            "cells_total",
-            Json::from((record.apps.len() + record.server_loads.len()) * record.core_counts.len()),
-        ),
-        ("url", Json::from(format!("/sweeps/{}", record.id))),
     ]);
-    // Optional axes, like the store: absent for homogeneous/unbudgeted
-    // jobs so pre-heterogeneity clients see unchanged documents.
-    if let Some((big, little)) = record.core_mix {
-        doc.set("core_mix", Json::array(&[big, little], |&n| n));
-    }
-    if let Some((area, tdp)) = record.budget {
-        doc.set(
-            "budget",
-            Json::object([
-                ("area_mm2", Json::from(area)),
-                ("tdp_watts", Json::from(tdp)),
-            ]),
-        );
-    }
+    record.put_grid(&mut doc);
+    doc.set(
+        "cells_total",
+        (record.apps.len() + record.server_loads.len()) * record.core_counts.len(),
+    );
+    doc.set("url", format!("/sweeps/{}", record.id));
+    record.put_chip(&mut doc);
     if !record.error_chain.is_empty() {
         doc.set(
             "error_chain",
@@ -222,14 +202,13 @@ fn open_journal(ctx: Ctx<'_>, record: &JobRecord) -> Option<Journal> {
     // A heterogeneous job's journal is fingerprinted with its chip tag;
     // reading it back needs the same tag or the open is (correctly)
     // refused as a spec mismatch.
-    let chip_tag = crate::shard::chip_tag_for(record.core_mix);
     Journal::open_with_chip(
         &path,
         JournalMode::Resume,
         &record.spec(),
         &FaultPlan::none(),
         &RetryPolicy::default(),
-        chip_tag.as_deref(),
+        record.chip_tag().as_deref(),
     )
     .ok()
 }
@@ -355,35 +334,6 @@ fn shard_error(e: &ShardError) -> Response {
     Response::error(status, reason, &e.to_string())
 }
 
-/// Renders a job's sweep axes in the submission dialect, so a lease
-/// grant's `spec` round-trips through [`parse_submission`] on the
-/// worker unchanged.
-fn submission_doc(record: &JobRecord) -> Json {
-    let mut doc = Json::object([
-        ("apps", Json::array(&record.apps, |a| a.name())),
-        (
-            "server_loads",
-            Json::array(&record.server_loads, |&rps| rps as u64),
-        ),
-        ("core_counts", Json::array(&record.core_counts, |&n| n)),
-        ("scale", Json::from(scale_name(record.scale))),
-        ("seed", Json::from(format!("{:#x}", record.seed))),
-    ]);
-    if let Some((big, little)) = record.core_mix {
-        doc.set("core_mix", Json::array(&[big, little], |&n| n));
-    }
-    if let Some((area, tdp)) = record.budget {
-        doc.set(
-            "budget",
-            Json::object([
-                ("area_mm2", Json::from(area)),
-                ("tdp_watts", Json::from(tdp)),
-            ]),
-        );
-    }
-    doc
-}
-
 fn shard_list(ctx: Ctx<'_>) -> Response {
     let shards: Vec<Json> = ctx.shards.list().iter().map(|v| v.to_json()).collect();
     Response::json(200, "OK", &Json::object([("shards", Json::Arr(shards))]))
@@ -498,7 +448,7 @@ fn shard_lease(ctx: Ctx<'_>, req: &Request, id: &str) -> Response {
                         ("hi", Json::from(grant.range.hi)),
                     ]),
                 ),
-                ("spec", submission_doc(&grant.job)),
+                ("spec", grant.job.submission()),
             ]),
         ),
         Err(e) => shard_error(&e),

@@ -1,4 +1,17 @@
-//! Durable job metadata with optimistic-concurrency versioning.
+//! The one description of a sweep job, and its durable store.
+//!
+//! A [`JobRecord`] is the only code that knows how a sweep job is
+//! written, read and run. It renders the job's axes (apps, server
+//! loads, core counts, scale, seed, and the optional core mix and
+//! budget) into every document that carries them: the record file, the
+//! `/sweeps` status and list documents, a lease grant's `spec` and a
+//! shard record. [`parse_submission`] is the one parser that reads
+//! those axes back, from a submission body, a lease grant, a shard
+//! record or a record file. [`JobRecord::sweep`] is the one launcher:
+//! the daemon's job runner, the shard worker, the shard merge and
+//! `cmp-tlp sweep` all start from the builder it returns, and
+//! [`JobRecord::chip_tag`] is the one derivation of the journal chip
+//! tag they fingerprint with.
 //!
 //! Every sweep submitted to the daemon becomes a [`JobRecord`] persisted
 //! by a [`JobStore`]. The store speaks snapshot/commit/abort: readers
@@ -9,7 +22,7 @@
 //! job and replaces it atomically (tmp + fsync + rename), so a `kill -9`
 //! at any instant leaves either the old record or the new one on disk —
 //! never a torn hybrid. Per-cell sweep progress lives separately in the
-//! PR-5 cell journal (one `<id>.journal` per job, resolved by
+//! sweep's cell journal (one `<id>.journal` per job, resolved by
 //! [`FsJobStore::journal_path`]); the record holds only coarse job state
 //! and, once finished, the final report document.
 
@@ -18,9 +31,12 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use crate::chipstate::ExperimentalChip;
 use crate::cli_args::DEFAULT_SEED;
 use crate::journal::{arr_field, field, num_field, str_field, write_atomic};
-use crate::sweep::SweepSpec;
+use crate::sweep::{SweepBuilder, SweepSpec};
+use tlp_analytic::BudgetSpec;
+use tlp_sim::ChipSpec;
 use tlp_tech::json::{Json, JsonLimits};
 use tlp_workloads::{AppId, Scale};
 
@@ -87,10 +103,11 @@ pub fn scale_from_name(name: &str) -> Option<Scale> {
     })
 }
 
-/// Resolves an application name the way the CLI does: case-insensitive,
-/// dashes ignored (`fft`, `water-nsq`, `WATERNSQ` all work).
+/// Resolves an application name: case-insensitive, dashes and
+/// underscores ignored (`fft`, `water-nsq`, `water_nsq`, `WATERNSQ` all
+/// work).
 pub fn app_from_name(name: &str) -> Option<AppId> {
-    let norm = |s: &str| s.to_ascii_lowercase().replace('-', "");
+    let norm = |s: &str| s.to_ascii_lowercase().replace(['-', '_'], "");
     let wanted = norm(name);
     AppId::ALL.into_iter().find(|a| norm(a.name()) == wanted)
 }
@@ -162,6 +179,73 @@ impl JobRecord {
         }
     }
 
+    /// The sweep this job runs on `chip`: its grid, on its core mix, with
+    /// its budget armed. Callers add their own threads, journal,
+    /// interrupt and deadline; a shard worker narrows the grid to its
+    /// range.
+    pub fn sweep<'c>(&self, chip: &'c ExperimentalChip) -> SweepBuilder<'c> {
+        let mut builder = chip.sweep().grid(self.spec());
+        if let Some((big, little)) = self.core_mix {
+            builder = builder.core_mix(big, little);
+        }
+        if let Some((area_mm2, tdp_watts)) = self.budget {
+            builder = builder.budget(BudgetSpec {
+                area_mm2,
+                tdp_watts,
+            });
+        }
+        builder
+    }
+
+    /// The chip tag this job's journal carries: a heterogeneous core mix
+    /// carries its [`ChipSpec::chip_tag`]; the stock homogeneous chip,
+    /// and a mix that degenerates to one class, carry none. This is the
+    /// tag [`JobRecord::sweep`]'s chip writes, so shard fingerprints
+    /// match worker journals exactly.
+    pub fn chip_tag(&self) -> Option<String> {
+        let (big, little) = self.core_mix?;
+        ChipSpec::big_little(big, little).chip_tag()
+    }
+
+    /// Appends the grid axes (`apps`, `server_loads`, `core_counts`,
+    /// `scale`, `seed`) to `doc`, in the dialect [`parse_submission`]
+    /// reads.
+    pub(crate) fn put_grid(&self, doc: &mut Json) {
+        doc.set("apps", Json::array(&self.apps, |a| a.name()));
+        doc.set(
+            "server_loads",
+            Json::array(&self.server_loads, |&rps| rps as u64),
+        );
+        doc.set("core_counts", Json::array(&self.core_counts, |&n| n));
+        doc.set("scale", scale_name(self.scale));
+        doc.set("seed", format!("{:#x}", self.seed));
+    }
+
+    /// Appends the chip axes (`core_mix`, `budget`) to `doc`, each only
+    /// when set, so homogeneous, unbudgeted documents stay byte-identical
+    /// to those written before the axes existed.
+    pub(crate) fn put_chip(&self, doc: &mut Json) {
+        if let Some((big, little)) = self.core_mix {
+            doc.set("core_mix", Json::array(&[big, little], |&n| n));
+        }
+        if let Some((area, tdp)) = self.budget {
+            doc.set(
+                "budget",
+                Json::object([("area_mm2", area), ("tdp_watts", tdp)]),
+            );
+        }
+    }
+
+    /// The job's axes as a submission document: what `POST /sweeps` and
+    /// `POST /shards` accept and what a lease grant carries as its
+    /// `spec`.
+    pub(crate) fn submission(&self) -> Json {
+        let mut doc = Json::Obj(Vec::new());
+        self.put_grid(&mut doc);
+        self.put_chip(&mut doc);
+        doc
+    }
+
     /// Serializes the record (including the store's `version` field).
     fn to_json(&self, version: u64) -> Json {
         let mut doc = Json::object([
@@ -169,110 +253,43 @@ impl JobRecord {
             ("seq", Json::from(self.seq)),
             ("version", Json::from(version)),
             ("state", Json::from(self.state.name())),
-            ("apps", Json::array(&self.apps, |a| a.name())),
-            (
-                "server_loads",
-                Json::array(&self.server_loads, |&rps| rps as u64),
-            ),
-            ("core_counts", Json::array(&self.core_counts, |&n| n)),
-            ("scale", Json::from(scale_name(self.scale))),
-            ("seed", Json::from(format!("{:#x}", self.seed))),
-            (
-                "error_chain",
-                Json::array(&self.error_chain, |e| e.as_str()),
-            ),
         ]);
-        // Optional axes are written only when set, so homogeneous
-        // records stay byte-identical to pre-heterogeneity stores.
-        if let Some((big, little)) = self.core_mix {
-            doc.set("core_mix", Json::array(&[big, little], |&n| n));
-        }
-        if let Some((area, tdp)) = self.budget {
-            doc.set(
-                "budget",
-                Json::object([
-                    ("area_mm2", Json::from(area)),
-                    ("tdp_watts", Json::from(tdp)),
-                ]),
-            );
-        }
+        self.put_grid(&mut doc);
+        doc.set(
+            "error_chain",
+            Json::array(&self.error_chain, |e| e.as_str()),
+        );
+        self.put_chip(&mut doc);
         if let Some(report) = &self.report {
             doc.set("report", report.clone());
         }
         doc
     }
 
-    fn from_json(doc: &Json) -> Option<(Self, u64)> {
-        let version = num_field(doc, "version")? as u64;
-        let apps = arr_field(doc, "apps")?
-            .iter()
-            .map(|a| match a {
-                Json::Str(s) => app_from_name(s),
-                _ => None,
+    /// Reads a record file: the axes through the submission parser, then
+    /// the store's own fields. The message names the first problem.
+    fn from_json(doc: &Json) -> Result<(Self, u64), String> {
+        let mut record = parse_axes(doc, true)?;
+        let bad = |key: &str| format!("record has no valid {key:?}");
+        record.id = str_field(doc, "id").ok_or_else(|| bad("id"))?.to_string();
+        record.seq = num_field(doc, "seq").ok_or_else(|| bad("seq"))? as u64;
+        let version = num_field(doc, "version").ok_or_else(|| bad("version"))? as u64;
+        record.state = str_field(doc, "state")
+            .and_then(JobState::from_name)
+            .ok_or_else(|| bad("state"))?;
+        record.error_chain = arr_field(doc, "error_chain")
+            .and_then(|items| {
+                items
+                    .iter()
+                    .map(|e| match e {
+                        Json::Str(s) => Some(s.clone()),
+                        _ => None,
+                    })
+                    .collect()
             })
-            .collect::<Option<Vec<_>>>()?;
-        // Tolerant: records written before server workloads existed have
-        // no "server_loads" key; treat that as an empty grid row set.
-        let server_loads = match field(doc, "server_loads") {
-            None => Vec::new(),
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(|n| match n {
-                    Json::Num(x) if *x >= 0.0 => Some(*x as u32),
-                    _ => None,
-                })
-                .collect::<Option<Vec<_>>>()?,
-            Some(_) => return None,
-        };
-        let core_counts = arr_field(doc, "core_counts")?
-            .iter()
-            .map(|n| match n {
-                Json::Num(x) if *x >= 0.0 => Some(*x as usize),
-                _ => None,
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let error_chain = arr_field(doc, "error_chain")?
-            .iter()
-            .map(|e| match e {
-                Json::Str(s) => Some(s.clone()),
-                _ => None,
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let seed_text = str_field(doc, "seed")?;
-        let seed = crate::cli_args::parse_u64_flag("seed", Some(&seed_text.to_string())).ok()?;
-        // Tolerant like "server_loads": absent keys mean a homogeneous,
-        // unbudgeted job written before these axes existed.
-        let core_mix = match field(doc, "core_mix") {
-            None => None,
-            Some(Json::Arr(items)) => match items[..] {
-                [Json::Num(b), Json::Num(l)] if b >= 0.0 && l >= 0.0 => {
-                    Some((b as usize, l as usize))
-                }
-                _ => return None,
-            },
-            Some(_) => return None,
-        };
-        let budget = match field(doc, "budget") {
-            None => None,
-            Some(b) => Some((num_field(b, "area_mm2")?, num_field(b, "tdp_watts")?)),
-        };
-        Some((
-            Self {
-                id: str_field(doc, "id")?.to_string(),
-                seq: num_field(doc, "seq")? as u64,
-                state: JobState::from_name(str_field(doc, "state")?)?,
-                apps,
-                server_loads,
-                core_counts,
-                scale: scale_from_name(str_field(doc, "scale")?)?,
-                seed,
-                core_mix,
-                budget,
-                error_chain,
-                report: field(doc, "report").cloned(),
-            },
-            version,
-        ))
+            .ok_or_else(|| bad("error_chain"))?;
+        record.report = field(doc, "report").cloned();
+        Ok((record, version))
     }
 }
 
@@ -427,9 +444,9 @@ impl FsJobStore {
             }
         })?;
         let (value, version) =
-            JobRecord::from_json(&doc).ok_or_else(|| JobStoreError::Corrupt {
+            JobRecord::from_json(&doc).map_err(|message| JobStoreError::Corrupt {
                 path: path.to_path_buf(),
-                message: "record is missing required fields".to_string(),
+                message,
             })?;
         Ok(Versioned { value, version })
     }
@@ -549,7 +566,10 @@ impl JobStore for FsJobStore {
     }
 }
 
-/// Parses a sweep submission body into a validated [`JobRecord`].
+/// Parses a sweep submission body into a validated [`JobRecord`]. The
+/// one reader of the sweep axes: it also reads them back from every
+/// document [`JobRecord`] renders them into (keys it does not know are
+/// ignored).
 ///
 /// Accepted shape (at least one of `apps` / `server_loads` must be
 /// non-empty):
@@ -571,6 +591,13 @@ impl JobStore for FsJobStore {
 ///
 /// A human-readable message describing the first problem found.
 pub fn parse_submission(doc: &Json) -> Result<JobRecord, String> {
+    parse_axes(doc, false)
+}
+
+/// [`parse_submission`]'s parser. A record file may hold an empty grid
+/// (`allow_empty_grid`), because [`JobRecord::new`] can build one and
+/// the store keeps what it is given; a submission may not.
+fn parse_axes(doc: &Json, allow_empty_grid: bool) -> Result<JobRecord, String> {
     if !matches!(doc, Json::Obj(_)) {
         return Err("submission must be a JSON object".to_string());
     }
@@ -608,7 +635,7 @@ pub fn parse_submission(doc: &Json) -> Result<JobRecord, String> {
         }
         Some(_) => return Err("\"server_loads\" must be an array".to_string()),
     };
-    if apps.is_empty() && server_loads.is_empty() {
+    if !allow_empty_grid && apps.is_empty() && server_loads.is_empty() {
         return Err("submission needs a non-empty \"apps\" or \"server_loads\" array".to_string());
     }
 
@@ -847,9 +874,9 @@ mod tests {
 
     #[test]
     fn submissions_parse_with_defaults() {
-        let doc = Json::parse("{\"apps\": [\"fft\", \"water-nsq\"]}").unwrap();
+        let doc = Json::parse("{\"apps\": [\"fft\", \"water-nsq\", \"water_nsq\"]}").unwrap();
         let r = parse_submission(&doc).unwrap();
-        assert_eq!(r.apps, vec![AppId::Fft, AppId::WaterNsq]);
+        assert_eq!(r.apps, vec![AppId::Fft, AppId::WaterNsq, AppId::WaterNsq]);
         assert_eq!(r.core_counts, vec![1, 2, 4, 8, 16]);
         assert_eq!(r.scale, Scale::Small);
         assert_eq!(r.seed, DEFAULT_SEED);
@@ -909,6 +936,143 @@ mod tests {
             store.snapshot(&plain.value.id).unwrap().value.core_mix,
             None
         );
+    }
+
+    /// A heterogeneous, budgeted job with a server row: every axis set.
+    fn full_job() -> JobRecord {
+        let mut job = JobRecord::new(
+            vec![AppId::WaterNsq, AppId::Fft],
+            vec![1, 2, 4, 8, 16],
+            Scale::Small,
+            DEFAULT_SEED,
+        );
+        job.server_loads = vec![2_000_000];
+        job.core_mix = Some((4, 12));
+        job.budget = Some((111.0, 125.0));
+        job
+    }
+
+    /// The record file, the `GET /sweeps/{id}` document, the lease
+    /// grant's `spec` and the shard record of one job, pinned to the
+    /// bytes they had when four separate functions rendered them.
+    #[test]
+    fn every_document_keeps_its_pinned_bytes() {
+        let dir = temp_dir("pins");
+        let store = FsJobStore::open(&dir.0).unwrap();
+        let created = store.create(full_job()).unwrap();
+        let file = fs::read_to_string(store.record_path(&created.value.id)).unwrap();
+        assert_eq!(
+            file,
+            r#"{
+  "id": "j000001",
+  "seq": 1,
+  "version": 1,
+  "state": "queued",
+  "apps": [
+    "Water-Nsq",
+    "FFT"
+  ],
+  "server_loads": [
+    2000000
+  ],
+  "core_counts": [
+    1,
+    2,
+    4,
+    8,
+    16
+  ],
+  "scale": "small",
+  "seed": "0x15952005",
+  "error_chain": [],
+  "core_mix": [
+    4,
+    12
+  ],
+  "budget": {
+    "area_mm2": 111,
+    "tdp_watts": 125
+  }
+}
+"#
+        );
+        let axes = r#""apps":["Water-Nsq","FFT"],"server_loads":[2000000],"core_counts":[1,2,4,8,16],"scale":"small","seed":"0x15952005""#;
+        let chip = r#""core_mix":[4,12],"budget":{"area_mm2":111,"tdp_watts":125}"#;
+        assert_eq!(
+            super::super::handlers::job_summary(&created.value).to_string_compact(),
+            format!(
+                r#"{{"id":"j000001","state":"queued",{axes},"cells_total":15,"url":"/sweeps/j000001",{chip}}}"#
+            )
+        );
+        assert_eq!(
+            created.value.submission().to_string_compact(),
+            format!("{{{axes},{chip}}}")
+        );
+        let shard = crate::shard::board::ShardRecord {
+            id: "s000001".to_string(),
+            seq: 1,
+            job: created.value.clone(),
+            lease_works: 1,
+            lease_ms: 60_000,
+            ranges: vec![
+                crate::shard::RangeMeta {
+                    range: crate::shard::WorkRange { lo: 0, hi: 1 },
+                    done: true,
+                    checksum: Some(0x0123_4567_89ab_cdef),
+                },
+                crate::shard::RangeMeta {
+                    range: crate::shard::WorkRange { lo: 1, hi: 3 },
+                    done: false,
+                    checksum: None,
+                },
+            ],
+            report: None,
+        };
+        assert_eq!(
+            crate::shard::board::record_json(&shard).to_string_compact(),
+            format!(
+                r#"{{"id":"s000001","seq":1,{axes},{chip},"lease_works":1,"lease_ms":60000,"ranges":[{{"lo":0,"hi":1,"done":true,"checksum":"0123456789abcdef"}},{{"lo":1,"hi":3,"done":false}}]}}"#
+            )
+        );
+
+        // Every document reads back to the same axes, and a record file
+        // to the same record.
+        for doc in [
+            super::super::handlers::job_summary(&created.value),
+            created.value.submission(),
+            crate::shard::board::record_json(&shard),
+        ] {
+            assert_eq!(parse_submission(&doc), Ok(full_job()));
+        }
+        let mut record = created.value;
+        record.state = JobState::Failed;
+        record.error_chain = vec!["outer".into(), "inner".into()];
+        record.report = Some(Json::object([("cells_total", 15u64)]));
+        assert_eq!(JobRecord::from_json(&record.to_json(4)), Ok((record, 4)));
+    }
+
+    #[test]
+    fn a_record_the_parser_refuses_is_corrupt_with_its_message() {
+        let dir = temp_dir("refused");
+        let store = FsJobStore::open(&dir.0).unwrap();
+        let created = store.create(record()).unwrap();
+        let path = store.record_path(&created.value.id);
+        let text = fs::read_to_string(&path).unwrap();
+        fs::write(&path, text.replace("\"FFT\"", "\"nope\"")).unwrap();
+        match store.snapshot(&created.value.id) {
+            Err(JobStoreError::Corrupt { message, .. }) => {
+                assert_eq!(message, "unknown application \"nope\"");
+            }
+            other => panic!("expected a corrupt record, got {other:?}"),
+        }
+        // A grid with no rows is no submission, but a record holding one
+        // still loads and aborts.
+        let empty = store
+            .create(JobRecord::new(vec![], vec![1, 2], Scale::Test, 7))
+            .unwrap();
+        let read = store.snapshot(&empty.value.id).unwrap();
+        assert_eq!(read, empty);
+        store.abort(&empty.value.id, empty.version).unwrap();
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! `cmp-tlp serve` — the sweep-as-a-service daemon.
 //!
 //! A hardened HTTP/1.1 JSON API over [`std::net`] (zero dependencies,
-//! like everything in this workspace) that accepts sweep specs, runs
-//! them through [`crate::sweep::SweepBuilder`] with the PR-5 durable
-//! cell journal, and exposes:
+//! like everything in this workspace) that accepts sweep specs as
+//! [`jobs::JobRecord`]s, runs each through the builder
+//! [`jobs::JobRecord::sweep`] returns with the durable cell journal,
+//! and exposes:
 //!
 //! | Endpoint                | Meaning                                        |
 //! |-------------------------|------------------------------------------------|
@@ -64,7 +65,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tlp_analytic::BudgetSpec;
 use tlp_obs::metrics::{
     SERVE_HIST_REQUEST_BYTES, SERVE_HIST_RESPONSE_MICROS, SERVE_HTTP_PARSE_REJECTED,
     SERVE_HTTP_REQUESTS, SERVE_HTTP_RESPONSES_2XX, SERVE_HTTP_RESPONSES_4XX,
@@ -490,24 +490,14 @@ fn run_job(ctx: Ctx<'_>, id: &str) {
         }
     };
 
-    let mut builder = ctx
-        .chip
-        .sweep()
-        .grid(current.value.spec())
+    // The job's own core mix and budget ride on the builder; the shared
+    // homogeneous chip stays untouched for everyone else.
+    let mut builder = current
+        .value
+        .sweep(ctx.chip)
         .threads(ctx.config.job_threads)
         .checkpoint(ctx.store.journal_path(id))
         .interrupt(Arc::clone(&ctx.config.shutdown));
-    // Heterogeneity and budget axes ride on the submission; the shared
-    // homogeneous chip stays untouched for everyone else.
-    if let Some((big, little)) = current.value.core_mix {
-        builder = builder.core_mix(big, little);
-    }
-    if let Some((area_mm2, tdp_watts)) = current.value.budget {
-        builder = builder.budget(BudgetSpec {
-            area_mm2,
-            tdp_watts,
-        });
-    }
     if let Some(deadline) = ctx.config.cell_deadline {
         builder = builder.cell_deadline(deadline);
     }

@@ -39,7 +39,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use tlp_analytic::BudgetSpec;
 use tlp_obs::metrics::{
     SHARD_CACHE_EVICTIONS, SHARD_CACHE_HITS, SHARD_CACHE_MISSES, SHARD_HEARTBEATS,
     SHARD_LEASES_EXPIRED, SHARD_LEASES_GRANTED, SHARD_MERGES_COMPLETED, SHARD_SEGMENTS_ACCEPTED,
@@ -51,11 +50,11 @@ use tlp_tech::json::{Json, JsonLimits, ToJson as _};
 use crate::chipstate::ExperimentalChip;
 use crate::error::error_chain;
 use crate::journal::{field, num_field, str_field};
-use crate::serve::jobs::{parse_submission, scale_name, JobRecord};
+use crate::serve::jobs::{parse_submission, JobRecord};
 use crate::sweep::SweepSpec;
 
 use super::merge::{merge_segments, range_fingerprint, validate_segment, CanonicalSegment};
-use super::{chip_tag_for, ShardError, WorkRange};
+use super::{ShardError, WorkRange};
 
 /// Time source for lease deadlines: the daemon uses a monotonic clock,
 /// tests and the chaos driver drive a manual one so expiry races are
@@ -345,7 +344,7 @@ impl ShardBoard {
         let lease_works = lease_works.max(1);
         let spec = job.spec();
         let works = spec.works().len();
-        let chip_tag = chip_tag_for(job.core_mix);
+        let chip_tag = job.chip_tag();
         let tag = chip_tag.as_deref();
 
         let mut inner = self.inner.lock().expect("shard board lock");
@@ -539,7 +538,7 @@ impl ShardBoard {
         let st = inner.shards.get_mut(&seq).expect("lease points at shard");
         let range = st.rec.ranges[idx].range;
         let spec = st.rec.job.spec();
-        let chip_tag = chip_tag_for(st.rec.job.core_mix);
+        let chip_tag = st.rec.job.chip_tag();
         let seg = match validate_segment(&spec, chip_tag.as_deref(), range, text) {
             Ok(seg) => seg,
             Err(defect) => {
@@ -725,7 +724,7 @@ impl ShardBoard {
             return Ok(());
         }
         let spec = st.rec.job.spec();
-        let chip_tag = chip_tag_for(st.rec.job.core_mix);
+        let chip_tag = st.rec.job.chip_tag();
         let mut texts = Vec::with_capacity(st.rec.ranges.len());
         for (idx, meta) in st.rec.ranges.iter().enumerate() {
             let path = self.segment_path(&st.rec.id, idx);
@@ -744,16 +743,7 @@ impl ShardBoard {
         // every cell splices, so this only reassembles the report — and
         // it does so byte-identically to an uninterrupted run (pinned by
         // the shard-merge-identity oracle).
-        let mut builder = chip.sweep().grid(spec).serial().resume(&journal);
-        if let Some((big, little)) = st.rec.job.core_mix {
-            builder = builder.core_mix(big, little);
-        }
-        if let Some((area_mm2, tdp_watts)) = st.rec.job.budget {
-            builder = builder.budget(BudgetSpec {
-                area_mm2,
-                tdp_watts,
-            });
-        }
+        let builder = st.rec.job.sweep(chip).serial().resume(&journal);
         let report = builder.run().map_err(|e| ShardError::Report {
             chain: error_chain(&e),
         })?;
@@ -825,7 +815,7 @@ impl ShardBoard {
     /// range back to open.
     fn revalidate_segments(&self, rec: &mut ShardRecord) -> Result<(), ShardError> {
         let spec = rec.job.spec();
-        let chip_tag = chip_tag_for(rec.job.core_mix);
+        let chip_tag = rec.job.chip_tag();
         let mut demoted = false;
         for (idx, meta) in rec.ranges.iter_mut().enumerate() {
             if !meta.done {
@@ -886,40 +876,18 @@ impl ShardBoard {
     }
 }
 
-fn record_json(rec: &ShardRecord) -> Json {
-    let mut pairs = vec![
+/// Renders a shard record: the job's axes between the shard's identity
+/// and its range bookkeeping.
+pub(crate) fn record_json(rec: &ShardRecord) -> Json {
+    let mut doc = Json::object([
         ("id", Json::from(rec.id.as_str())),
         ("seq", Json::from(rec.seq)),
-        ("apps", Json::array(&rec.job.apps, |a| Json::from(a.name()))),
-        (
-            "server_loads",
-            Json::array(&rec.job.server_loads, |r| Json::from(*r as u64)),
-        ),
-        (
-            "core_counts",
-            Json::array(&rec.job.core_counts, |n| Json::from(*n)),
-        ),
-        ("scale", Json::from(scale_name(rec.job.scale))),
-        ("seed", Json::from(format!("{:#x}", rec.job.seed))),
-    ];
-    if let Some((big, little)) = rec.job.core_mix {
-        pairs.push((
-            "core_mix",
-            Json::from(vec![Json::from(big), Json::from(little)]),
-        ));
-    }
-    if let Some((area, tdp)) = rec.job.budget {
-        pairs.push((
-            "budget",
-            Json::object([
-                ("area_mm2", Json::from(area)),
-                ("tdp_watts", Json::from(tdp)),
-            ]),
-        ));
-    }
-    pairs.push(("lease_works", Json::from(rec.lease_works)));
-    pairs.push(("lease_ms", Json::from(rec.lease_ms)));
-    pairs.push((
+    ]);
+    rec.job.put_grid(&mut doc);
+    rec.job.put_chip(&mut doc);
+    doc.set("lease_works", rec.lease_works);
+    doc.set("lease_ms", rec.lease_ms);
+    doc.set(
         "ranges",
         Json::array(&rec.ranges, |m| {
             let mut fields = vec![
@@ -932,11 +900,11 @@ fn record_json(rec: &ShardRecord) -> Json {
             }
             Json::object(fields)
         }),
-    ));
+    );
     if let Some(report) = &rec.report {
-        pairs.push(("report", report.clone()));
+        doc.set("report", report.clone());
     }
-    Json::object(pairs)
+    doc
 }
 
 fn record_from_json(doc: &Json, path: &Path) -> Result<ShardRecord, ShardError> {

@@ -14,6 +14,14 @@
 //! resumed report is byte-identical to an uninterrupted single-process
 //! run.
 //!
+//! A shard's axes are a [`JobRecord`], the same job description
+//! `POST /sweeps` and `cmp-tlp sweep` use: the shard record and the
+//! lease grant's `spec` are rendered by it and read back by
+//! [`parse_submission`]; the worker and the merge both start from the
+//! builder [`JobRecord::sweep`] returns (the worker narrowing its grid
+//! to the leased range with [`subspec`]); and coordinator and worker
+//! fingerprint journals with the one [`JobRecord::chip_tag`].
+//!
 //! Why whole workload rows: a cell `(work, n)` depends on the full
 //! `core_counts` profile of its row (the `n = 1` anchor normalizes the
 //! whole row) but on nothing from any other row. A sub-spec holding only
@@ -40,6 +48,10 @@
 //!
 //! [`SweepBuilder`]: crate::sweep::SweepBuilder
 //! [`ShardBoard`]: board::ShardBoard
+//! [`JobRecord`]: crate::serve::jobs::JobRecord
+//! [`JobRecord::sweep`]: crate::serve::jobs::JobRecord::sweep
+//! [`JobRecord::chip_tag`]: crate::serve::jobs::JobRecord::chip_tag
+//! [`parse_submission`]: crate::serve::jobs::parse_submission
 
 pub mod board;
 pub mod chaos;
@@ -47,8 +59,6 @@ pub mod merge;
 pub mod worker;
 
 use std::fmt;
-
-use tlp_sim::ChipSpec;
 
 use crate::sweep::SweepSpec;
 
@@ -105,16 +115,6 @@ pub fn subspec(spec: &SweepSpec, range: WorkRange) -> SweepSpec {
         scale: spec.scale,
         seed: spec.seed,
     }
-}
-
-/// The journal chip tag a sweep on `core_mix` writes: heterogeneous
-/// mixes carry their [`ChipSpec::tag`], the stock homogeneous chip (and
-/// a mix that degenerates to homogeneous) carries none — the same
-/// derivation the daemon's job runner uses, so shard fingerprints match
-/// worker journals exactly.
-pub fn chip_tag_for(core_mix: Option<(usize, usize)>) -> Option<String> {
-    let (big, little) = core_mix?;
-    ChipSpec::big_little(big, little).chip_tag()
 }
 
 /// Failure of the sharding layer, typed end to end (HTTP handlers map
@@ -245,6 +245,10 @@ impl From<MergeError> for ShardError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chipstate::ExperimentalChip;
+    use crate::serve::jobs::JobRecord;
+    use tlp_sim::ChipSpec;
+    use tlp_tech::Technology;
     use tlp_workloads::{AppId, Scale};
 
     fn spec() -> SweepSpec {
@@ -281,9 +285,15 @@ mod tests {
 
     #[test]
     fn chip_tags_match_the_daemons_derivation() {
-        assert_eq!(chip_tag_for(None), None);
-        let tag = chip_tag_for(Some((4, 12))).expect("big.LITTLE is heterogeneous");
+        let mut job = JobRecord::new(vec![AppId::Fft], vec![1], Scale::Test, 7);
+        assert_eq!(job.chip_tag(), None);
+        job.core_mix = Some((4, 12));
+        let tag = job.chip_tag().expect("big.LITTLE is heterogeneous");
         assert_eq!(tag, ChipSpec::big_little(4, 12).tag());
+        // The tag is the one the job's own sweep writes.
+        let chip = ExperimentalChip::from_spec(ChipSpec::ispass05(4), Technology::itrs_65nm());
+        let report = job.sweep(&chip).run().expect("test-scale sweep");
+        assert_eq!(report.chip, Some(tag));
     }
 
     #[test]

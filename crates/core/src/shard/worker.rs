@@ -2,8 +2,9 @@
 //!
 //! `cmp-tlp work --coordinator HOST:PORT` runs this loop. It is
 //! deliberately thin: all sweep semantics live in the ordinary
-//! [`SweepBuilder`] (the worker just runs the coordinator-supplied
-//! sub-spec with a local checkpoint journal), and all distributed
+//! [`SweepBuilder`] (the worker runs the builder
+//! [`JobRecord::sweep`] returns for the lease's `spec`, narrowed to the
+//! leased rows, with a local checkpoint journal), and all distributed
 //! semantics live on the coordinator (the worker never decides what
 //! counts as done). Network calls ride a hand-rolled HTTP/1.1 client
 //! over `std::net` — the same zero-dependency discipline as the serve
@@ -187,19 +188,17 @@ pub fn compute_segment(
     journal_path: &Path,
     threads: usize,
 ) -> Result<String, String> {
-    let sub = subspec(&job.spec(), range);
-    let mut builder = chip.sweep().grid(sub).checkpoint(journal_path);
-    builder = if threads <= 1 {
+    // The budget rides along: it decorates the report but never touches
+    // journal bytes or the spec fingerprint.
+    let builder = job
+        .sweep(chip)
+        .grid(subspec(&job.spec(), range))
+        .checkpoint(journal_path);
+    let builder = if threads <= 1 {
         builder.serial()
     } else {
         builder.threads(threads)
     };
-    if let Some((big, little)) = job.core_mix {
-        builder = builder.core_mix(big, little);
-    }
-    // Budget axes are deliberately not applied: they decorate the final
-    // report but never touch journal bytes or the spec fingerprint, and
-    // the coordinator applies them when it builds the merged report.
     let report = builder
         .run()
         .map_err(|e| format!("worker sweep failed: {}", error_chain(&e).join(": ")))?;

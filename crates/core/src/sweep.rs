@@ -117,7 +117,7 @@ use tlp_workloads::{gang, AppId, Scale, ServerSpec};
 
 use crate::chipstate::{ChipMeasurement, ExperimentalChip, MeasureFaults};
 use crate::error::{error_chain, CoreLimit, ExperimentError, InterruptInfo, UnrunnableCell};
-use crate::journal::{Journal, JournalError, JournalMode};
+use crate::journal::{Journal, JournalError, JournalMode, RecoveryReport};
 use crate::pool;
 use crate::profiling;
 use crate::scenario1::{operating_point_for, RequestSummary, Scenario1Row};
@@ -519,12 +519,13 @@ impl CellOutcome {
     }
 }
 
-/// Wall-clock record of one sweep execution.
+/// Run record of one sweep execution: its wall clock, and what a
+/// reopened journal recovered.
 ///
-/// Timing is inherently nondeterministic, so it lives outside the
-/// deterministic payload: [`SweepReport::to_json`] excludes it and the
-/// CLI prints it to stderr, keeping `--json` stdout byte-identical
-/// across thread counts.
+/// Neither is a result (timing is inherently nondeterministic), so both
+/// live outside the deterministic payload: the [`SweepReport`] JSON
+/// excludes them and the CLI prints them to stderr, keeping `--json`
+/// stdout byte-identical across thread counts and resumes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepTiming {
     /// Worker threads the sweep actually used.
@@ -536,6 +537,11 @@ pub struct SweepTiming {
     /// (profiling, baseline measurement) is attributed to the cells only
     /// when the baseline itself fails.
     pub cell_seconds: Vec<f64>,
+    /// What opening an existing journal recovered (records kept, torn
+    /// tail dropped); `None` without a journal or when the run created
+    /// it. The engine prints nothing: a front end that wants the
+    /// [`RecoveryReport::summary`] line prints it.
+    pub recovery: Option<RecoveryReport>,
 }
 
 impl SweepTiming {
@@ -1127,9 +1133,6 @@ fn sweep_engine(
     let journal = match journal_at {
         Some((path, mode)) => {
             let j = Journal::open_with_chip(path, mode, spec, plan, policy, chip_tag.as_deref())?;
-            if !j.recovery.created {
-                eprintln!("{}", j.recovery.summary(path));
-            }
             Some(Mutex::new(JournalState {
                 journal: j,
                 error: None,
@@ -1138,6 +1141,9 @@ fn sweep_engine(
         None => None,
     };
     let journal = journal.as_ref();
+    let recovery = journal
+        .map(|state| state.lock().expect("journal poisoned").journal.recovery)
+        .filter(|r| !r.created);
 
     let engine = Engine {
         chip,
@@ -1300,6 +1306,7 @@ fn sweep_engine(
             threads,
             total_seconds: start.elapsed().as_secs_f64(),
             cell_seconds,
+            recovery,
         },
         chip: chip_tag,
         budget: budget.map(|b| BudgetAxes {

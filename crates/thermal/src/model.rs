@@ -548,35 +548,43 @@ mod tests {
         let m = model();
         let dynamic = m.uniform_power(Watts::new(7.5));
         let nb = m.floorplan().blocks().len();
-        // A steep feedback: 0.35 W of static power per kelvin of rise on
-        // a 2.2 K/W tile is a loop gain of about 0.77, too slow for the
-        // undamped iteration to settle to 1e-6 °C within its budget.
+        // Negative feedback steeper than the tile: static power falls by
+        // 0.7 W per kelvin, and on a 2.2 K/W tile that is a loop gain of
+        // about -1.5, so every undamped step overshoots the fixpoint by
+        // more than the one before.
         let leak = |map: &ThermalMap| {
-            let w = (average(&m, map) - 45.0).max(0.0) * 0.35 / nb as f64;
+            let w = (75.0 - average(&m, map)) * 0.7 / nb as f64;
             (0..nb).map(|_| Watts::new(w)).collect::<Vec<_>>()
         };
+        // One budget for both solves, so only the damping differs.
+        let opts = |damping| FixpointOptions {
+            tolerance_celsius: 1e-6,
+            max_iterations: 100,
+            damping,
+            ..FixpointOptions::default()
+        };
+        let mut seen = Vec::new();
         let undamped = m.try_fixpoint(
             &dynamic,
-            leak,
-            &FixpointOptions {
-                tolerance_celsius: 1e-6,
-                max_iterations: 60,
-                ..FixpointOptions::default()
+            |map: &ThermalMap| {
+                seen.push(average(&m, map));
+                leak(map)
             },
+            &opts(0.0),
         );
-        let damped = m.try_fixpoint(
-            &dynamic,
-            leak,
-            &FixpointOptions {
-                tolerance_celsius: 1e-6,
-                max_iterations: 500,
-                damping: 0.7,
-                ..FixpointOptions::default()
-            },
+        assert!(
+            matches!(undamped, Err(ThermalError::Diverged { .. })),
+            "undamped solve did not diverge: {undamped:?}"
         );
+        // The iterates alternate around the fixpoint with growing steps.
+        let steps: Vec<f64> = seen.windows(2).map(|w| w[1] - w[0]).collect();
+        assert!(steps.len() >= 3, "{seen:?}");
+        for pair in steps.windows(2) {
+            assert!(pair[0] * pair[1] < 0.0, "steps do not alternate: {seen:?}");
+            assert!(pair[1].abs() > pair[0].abs(), "steps do not grow: {seen:?}");
+        }
+        let damped = m.try_fixpoint(&dynamic, leak, &opts(0.5));
         assert!(damped.is_ok(), "damped solve failed: {damped:?}");
-        // The undamped solve must have failed (oscillation or budget).
-        assert!(undamped.is_err(), "undamped unexpectedly converged");
     }
 
     #[test]

@@ -1,6 +1,10 @@
 //! Cross-crate integration tests: the full experimental pipeline from
 //! workload generation through simulation, power, and thermal measurement.
 
+mod common;
+
+use std::process::Command;
+
 use cmp_tlp::{profiling, scenario1, scenario2, ExperimentalChip};
 use tlp_sim::ChipSpec;
 use tlp_tech::Technology;
@@ -120,4 +124,70 @@ fn cli_rejects_unrunnable_core_counts_with_typed_errors() {
         assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn cli_resume_of_a_torn_journal_prints_the_warning_and_the_same_bytes() {
+    let dir = common::TempDir::new("cli-torn");
+    std::fs::create_dir_all(&dir.0).unwrap();
+    let journal = dir.0.join("sweep.journal");
+    let sweep = |mode: &str| {
+        Command::new(env!("CARGO_BIN_EXE_cmp-tlp"))
+            .args([
+                "--json",
+                "sweep",
+                "fft",
+                "--cores",
+                "2",
+                "--threads",
+                "1",
+                mode,
+            ])
+            .arg(&journal)
+            .output()
+            .expect("spawn cmp-tlp")
+    };
+    let first = sweep("--checkpoint");
+    assert!(first.status.success(), "{first:?}");
+
+    // An interrupted write left a half record with no checksum.
+    let tail = "deadbeef {\"record\":\"outc";
+    let mut text = std::fs::read_to_string(&journal).unwrap();
+    text.push_str(tail);
+    std::fs::write(&journal, text).unwrap();
+
+    let resumed = sweep("--resume");
+    assert!(resumed.status.success(), "{resumed:?}");
+    assert_eq!(resumed.stdout, first.stdout, "resume changed the report");
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    let warning = format!(
+        "WARNING: dropped {} byte(s) of torn/corrupt tail",
+        tail.len()
+    );
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.starts_with("journal: recovered") && l.contains(&warning)),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn the_resume_oracle_prints_no_journal_summary() {
+    // Every case of the oracle tears and resumes a scratch journal; the
+    // engine reports what it recovered to its caller, not to stderr.
+    let out = Command::new(env!("CARGO_BIN_EXE_cmp-tlp"))
+        .args(["check", "--oracle", "resume-identity", "--cases", "2"])
+        .output()
+        .expect("spawn cmp-tlp");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("PASS resume-identity"),
+        "{out:?}"
+    );
+    assert!(
+        !stderr.lines().any(|l| l.starts_with("journal:")),
+        "{stderr}"
+    );
 }

@@ -1,171 +1,28 @@
 //! End-to-end tests for the `cmp-tlp serve` daemon over a real socket:
 //! submit/poll/fetch with the report byte-identical to an in-process
-//! sweep, deterministic 429 shedding under a burst while `/health` stays
+//! sweep (also for a core-mix + budget job), deterministic 429 shedding under a burst while `/health` stays
 //! responsive, oversized bodies rejected with 413, malformed requests
 //! answered 400 (never a panic), graceful drain via the shutdown flag,
 //! and a crashed-mid-run job (running state + truncated journal, the
 //! exact debris a `kill -9` leaves) resuming to a byte-identical report
 //! on restart.
 
+mod common;
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use cmp_tlp::serve::jobs::{FsJobStore, JobRecord, JobState, JobStore};
-use cmp_tlp::serve::{ServeConfig, ServeOutcome, Server};
 use cmp_tlp::sweep::SweepSpec;
-use cmp_tlp::ExperimentalChip;
-use tlp_sim::ChipSpec;
-use tlp_tech::json::ToJson;
+use common::{
+    chip, get, grid_report, post, raw, reference_report, test_config, Harness, Reply, TempDir,
+};
+use tlp_analytic::BudgetSpec;
 use tlp_workloads::{AppId, Scale};
 
 const SEED: u64 = 0x5E17E;
-
-/// A scratch state directory, deleted on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let unique = NEXT.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "cmp-tlp-serve-test-{tag}-{}-{unique}",
-            std::process::id()
-        ));
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// Test defaults: ephemeral port, rate limiting effectively off (the
-/// burst test overrides), one worker thread per sweep.
-fn test_config(state_dir: &TempDir) -> ServeConfig {
-    let mut config = ServeConfig::new("127.0.0.1:0", &state_dir.0);
-    config.rate_per_sec = 10_000.0;
-    config.burst = 10_000.0;
-    config.http_workers = 2;
-    config.job_threads = 1;
-    config
-}
-
-/// A daemon running on its own thread until `stop()` is called.
-struct Harness {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<ServeOutcome>>,
-}
-
-impl Harness {
-    fn start(config: ServeConfig) -> Self {
-        let shutdown = Arc::clone(&config.shutdown);
-        let server = Server::bind(config).expect("bind ephemeral port");
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || server.run().expect("serve run"));
-        Self {
-            addr,
-            shutdown,
-            handle: Some(handle),
-        }
-    }
-
-    fn stop(mut self) -> ServeOutcome {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.handle
-            .take()
-            .expect("server thread")
-            .join()
-            .expect("server thread panicked")
-    }
-}
-
-impl Drop for Harness {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// One parsed HTTP response.
-struct Reply {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: String,
-}
-
-impl Reply {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// Sends raw bytes over a fresh connection and parses the one response
-/// the daemon writes before closing.
-fn raw(addr: SocketAddr, request: &[u8]) -> Reply {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(request).expect("send request");
-    stream.flush().unwrap();
-    let mut bytes = Vec::new();
-    stream.read_to_end(&mut bytes).expect("read response");
-    let text = String::from_utf8_lossy(&bytes).into_owned();
-    let (head, body) = text
-        .split_once("\r\n\r\n")
-        .unwrap_or_else(|| panic!("no header/body split in {text:?}"));
-    let mut lines = head.lines();
-    let status_line = lines.next().expect("status line");
-    assert!(
-        status_line.starts_with("HTTP/1.1 "),
-        "bad status line {status_line:?}"
-    );
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable status in {status_line:?}"));
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
-        .collect();
-    Reply {
-        status,
-        headers,
-        body: body.to_string(),
-    }
-}
-
-fn get(addr: SocketAddr, path: &str) -> Reply {
-    raw(
-        addr,
-        format!("GET {path} HTTP/1.1\r\nhost: test\r\n\r\n").as_bytes(),
-    )
-}
-
-fn post(addr: SocketAddr, path: &str, body: &str) -> Reply {
-    raw(
-        addr,
-        format!(
-            "POST {path} HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .as_bytes(),
-    )
-}
 
 /// Extracts `"id": "jNNNNNN"` from a submission response.
 fn job_id(reply: &Reply) -> String {
@@ -197,19 +54,6 @@ fn wait_for_state(addr: SocketAddr, id: &str, state: &str, limit: Duration) {
     }
 }
 
-fn chip() -> ExperimentalChip {
-    ExperimentalChip::from_spec(ChipSpec::ispass05(16), tlp_tech::Technology::itrs_65nm())
-}
-
-/// The exact bytes the CLI's `--json` mode prints for this spec: the
-/// daemon's `/report` endpoint must match them byte for byte.
-fn reference_report(spec: SweepSpec) -> String {
-    let report = chip().sweep().grid(spec).serial().run().expect("reference");
-    let mut text = report.to_json().to_string_pretty();
-    text.push('\n');
-    text
-}
-
 #[test]
 fn submit_poll_fetch_report_is_byte_identical_to_direct_run() {
     let dir = TempDir::new("roundtrip");
@@ -236,7 +80,7 @@ fn submit_poll_fetch_report_is_byte_identical_to_direct_run() {
 
     let report = get(addr, &format!("/sweeps/{id}/report"));
     assert_eq!(report.status, 200);
-    let expected = reference_report(SweepSpec {
+    let expected = grid_report(SweepSpec {
         server_loads: Vec::new(),
         apps: vec![AppId::Fft],
         core_counts: vec![1, 2],
@@ -257,6 +101,45 @@ fn submit_poll_fetch_report_is_byte_identical_to_direct_run() {
     assert_eq!(outcome.jobs_completed, 1);
     assert_eq!(outcome.jobs_failed, 0);
     assert_eq!(outcome.jobs_unfinished, 0);
+}
+
+#[test]
+fn a_core_mix_and_budget_job_reports_the_builders_exact_bytes() {
+    let dir = TempDir::new("hetero");
+    let server = Harness::start(test_config(&dir));
+    let addr = server.addr;
+
+    let reply = post(
+        addr,
+        "/sweeps",
+        &format!(
+            "{{\"apps\":[\"fft\"],\"core_counts\":[1,2],\"scale\":\"test\",\"seed\":{SEED},\
+             \"core_mix\":[4,12],\"budget\":{{\"area_mm2\":111,\"tdp_watts\":125}}}}"
+        ),
+    );
+    assert_eq!(reply.status, 202, "submit failed: {}", reply.body);
+    let id = job_id(&reply);
+    wait_for_state(addr, &id, "completed", Duration::from_secs(120));
+
+    let report = get(addr, &format!("/sweeps/{id}/report"));
+    assert_eq!(report.status, 200);
+    let expected = reference_report(|b| {
+        b.grid(SweepSpec {
+            apps: vec![AppId::Fft],
+            server_loads: Vec::new(),
+            core_counts: vec![1, 2],
+            scale: Scale::Test,
+            seed: SEED,
+        })
+        .core_mix(4, 12)
+        .budget(BudgetSpec {
+            area_mm2: 111.0,
+            tdp_watts: 125.0,
+        })
+    });
+    assert!(expected.contains("\"dark_silicon_ratio\""), "{expected}");
+    assert_eq!(report.body, expected, "report is not byte-identical");
+    server.stop();
 }
 
 #[test]
@@ -440,7 +323,7 @@ fn crashed_mid_run_job_resumes_to_a_byte_identical_report() {
         scale: Scale::Test,
         seed: SEED,
     };
-    let expected = reference_report(spec.clone());
+    let expected = grid_report(spec.clone());
 
     // Fabricate exactly what a kill -9 leaves behind: a job record
     // stuck in `running` and a journal truncated mid-sweep at a record

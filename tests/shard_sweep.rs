@@ -1,5 +1,6 @@
 //! End-to-end tests for distributed sweep sharding: a single worker
-//! over a real socket reproduces the plain sweep byte for byte; the
+//! over a real socket reproduces the plain sweep byte for byte, and a
+//! core-mix + budget sweep too; the
 //! merge refuses overlaps and gaps with typed errors; zombie uploads
 //! hit idempotent completion and forged segments a typed conflict; a
 //! worker killed with the real `kill -9` (process abort) mid-range is
@@ -8,140 +9,23 @@
 //! the `?wait=` long-poll returns early on progress and clamps under
 //! the request deadline.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+mod common;
+
+use std::net::SocketAddr;
 use std::process::Command;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cmp_tlp::journal::fnv64;
-use cmp_tlp::serve::{ServeConfig, ServeOutcome, Server};
 use cmp_tlp::shard::{merge_segments, run_worker, subspec, MergeError, WorkRange, WorkerConfig};
 use cmp_tlp::sweep::SweepSpec;
-use cmp_tlp::ExperimentalChip;
-use tlp_sim::ChipSpec;
-use tlp_tech::json::ToJson;
+use common::{chip, get, grid_report, post, reference_report, send, test_config, Harness, TempDir};
+use tlp_analytic::BudgetSpec;
 use tlp_workloads::{AppId, Scale};
 
 const SEED: u64 = 0x5A4D;
 
-/// A scratch directory, deleted on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let unique = NEXT.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "cmp-tlp-shard-test-{tag}-{}-{unique}",
-            std::process::id()
-        ));
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn test_config(state_dir: &TempDir) -> ServeConfig {
-    let mut config = ServeConfig::new("127.0.0.1:0", &state_dir.0);
-    config.rate_per_sec = 10_000.0;
-    config.burst = 10_000.0;
-    config.http_workers = 2;
-    config.job_threads = 1;
-    config
-}
-
-/// A daemon running on its own thread until dropped.
-struct Harness {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<ServeOutcome>>,
-}
-
-impl Harness {
-    fn start(config: ServeConfig) -> Self {
-        let shutdown = Arc::clone(&config.shutdown);
-        let server = Server::bind(config).expect("bind ephemeral port");
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || server.run().expect("serve run"));
-        Self {
-            addr,
-            shutdown,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for Harness {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-struct Reply {
-    status: u16,
-    body: String,
-}
-
-fn raw(addr: SocketAddr, request: &[u8]) -> Reply {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    stream.write_all(request).expect("send request");
-    stream.flush().unwrap();
-    let mut bytes = Vec::new();
-    stream.read_to_end(&mut bytes).expect("read response");
-    let text = String::from_utf8_lossy(&bytes).into_owned();
-    let (head, body) = text
-        .split_once("\r\n\r\n")
-        .unwrap_or_else(|| panic!("no header/body split in {text:?}"));
-    let status: u16 = head
-        .lines()
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable status line in {head:?}"));
-    Reply {
-        status,
-        body: body.to_string(),
-    }
-}
-
-fn get(addr: SocketAddr, path: &str) -> Reply {
-    raw(
-        addr,
-        format!("GET {path} HTTP/1.1\r\nhost: test\r\n\r\n").as_bytes(),
-    )
-}
-
-fn send_body(addr: SocketAddr, method: &str, path: &str, body: &str) -> Reply {
-    raw(
-        addr,
-        format!(
-            "{method} {path} HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .as_bytes(),
-    )
-}
-
-fn post(addr: SocketAddr, path: &str, body: &str) -> Reply {
-    send_body(addr, "POST", path, body)
-}
-
-fn put(addr: SocketAddr, path: &str, body: &str) -> Reply {
-    send_body(addr, "PUT", path, body)
+fn put(addr: SocketAddr, path: &str, body: &str) -> common::Reply {
+    send(addr, "PUT", path, body)
 }
 
 /// Extracts a `"key": "value"` string field from a pretty JSON body.
@@ -154,10 +38,6 @@ fn str_field(body: &str, key: &str) -> String {
         .next()
         .unwrap()
         .to_string()
-}
-
-fn chip() -> ExperimentalChip {
-    ExperimentalChip::from_spec(ChipSpec::ispass05(16), tlp_tech::Technology::itrs_65nm())
 }
 
 fn test_spec() -> SweepSpec {
@@ -175,16 +55,6 @@ fn submission(lease_works: usize, lease_secs: u64) -> String {
         "{{\"apps\":[\"fft\",\"lu\"],\"core_counts\":[1,2],\"scale\":\"test\",\
          \"seed\":{SEED},\"lease_works\":{lease_works},\"lease_secs\":{lease_secs}}}"
     )
-}
-
-/// The exact bytes `GET /shards/{{id}}/report` must serve: the direct
-/// single-process run, pretty-printed, with the daemon's trailing
-/// newline.
-fn reference_report(spec: SweepSpec) -> String {
-    let report = chip().sweep().grid(spec).serial().run().expect("reference");
-    let mut text = report.to_json().to_string_pretty();
-    text.push('\n');
-    text
 }
 
 fn worker_config(addr: SocketAddr, shard: &str, name: &str, dir: &TempDir) -> WorkerConfig {
@@ -235,7 +105,39 @@ fn a_single_worker_reproduces_the_plain_sweep_over_http() {
     assert_eq!(str_field(&status.body, "state"), "merged");
     let report = get(addr, &format!("/shards/{id}/report"));
     assert_eq!(report.status, 200, "report failed: {}", report.body);
-    assert_eq!(report.body, reference_report(test_spec()));
+    assert_eq!(report.body, grid_report(test_spec()));
+}
+
+#[test]
+fn a_core_mix_and_budget_shard_merges_to_the_builders_exact_bytes() {
+    let dir = TempDir::new("hetero");
+    let server = Harness::start(test_config(&dir));
+    let addr = server.addr;
+
+    let reply = post(
+        addr,
+        "/shards",
+        &format!(
+            "{{\"apps\":[\"fft\",\"lu\"],\"core_counts\":[1,2],\"scale\":\"test\",\"seed\":{SEED},\
+             \"core_mix\":[4,12],\"budget\":{{\"area_mm2\":111,\"tdp_watts\":125}},\
+             \"lease_works\":16,\"lease_secs\":60}}"
+        ),
+    );
+    assert_eq!(reply.status, 201, "create failed: {}", reply.body);
+    let id = str_field(&reply.body, "id");
+    let summary = run_worker(&worker_config(addr, &id, "solo", &dir)).expect("worker run");
+    assert_eq!((summary.leases, summary.segments), (1, 1));
+
+    let report = get(addr, &format!("/shards/{id}/report"));
+    assert_eq!(report.status, 200, "report failed: {}", report.body);
+    let expected = reference_report(|b| {
+        b.grid(test_spec()).core_mix(4, 12).budget(BudgetSpec {
+            area_mm2: 111.0,
+            tdp_watts: 125.0,
+        })
+    });
+    assert!(expected.contains("\"dark_silicon_ratio\""), "{expected}");
+    assert_eq!(report.body, expected, "merged report is not byte-identical");
 }
 
 #[test]
@@ -353,7 +255,7 @@ fn zombies_hit_idempotence_and_forgeries_a_typed_conflict() {
     assert_eq!(summary.segments, 1);
     let report = get(addr, &format!("/shards/{id}/report"));
     assert_eq!(report.status, 200, "report failed: {}", report.body);
-    assert_eq!(report.body, reference_report(spec));
+    assert_eq!(report.body, grid_report(spec));
 }
 
 #[test]
@@ -379,7 +281,7 @@ fn a_repeat_submission_is_served_whole_from_the_cell_cache() {
     let b = get(addr, &format!("/shards/{second_id}/report"));
     assert_eq!((a.status, b.status), (200, 200));
     assert_eq!(a.body, b.body, "cache-spliced report diverged");
-    assert_eq!(a.body, reference_report(test_spec()));
+    assert_eq!(a.body, grid_report(test_spec()));
 
     // Both merged journals exist on disk and are byte-identical.
     let ja = std::fs::read(dir.0.join("shards").join(format!("{first_id}.journal"))).unwrap();
