@@ -29,17 +29,19 @@
 //!
 //! # Crash safety
 //!
-//! Every append rewrites the whole journal to a temporary file in the
-//! same directory, syncs it, and renames it into place — the journal on
-//! disk is always either the old complete version or the new complete
-//! version. A crash *between* those states (or a corrupted disk) can
-//! still leave a torn tail; the loader verifies each line's checksum and
-//! drops everything from the first bad line on, reporting the discarded
-//! byte count in [`RecoveryReport`] instead of failing. A `start` with
-//! no matching `outcome` marks a cell that was mid-flight when the
-//! previous run died — a *strike* against that cell; enough strikes
-//! (see [`RetryPolicy::quarantine_after`]) and the cell is quarantined
-//! rather than allowed to take the run down again.
+//! Every append writes one line to the end of the file and syncs it
+//! before the sweep moves on, so a record the engine has acted on is on
+//! disk. A crash mid-append (or a corrupted disk) can leave a torn tail;
+//! the loader verifies each line's checksum and drops everything from
+//! the first bad line on, reporting the discarded byte count in
+//! [`RecoveryReport`] instead of failing, and the next append rewrites
+//! the whole file without it (to a temporary file in the same
+//! directory, synced, then renamed into place), as does the first
+//! append of a new journal. A `start` with no matching `outcome` marks
+//! a cell that was mid-flight when the previous run died — a *strike*
+//! against that cell; enough strikes (see
+//! [`RetryPolicy::quarantine_after`]) and the cell is quarantined rather
+//! than allowed to take the run down again.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -225,6 +227,8 @@ pub struct Journal {
     cells: HashMap<(String, usize), JournaledCell>,
     /// What loading found (fresh file, clean recovery, or torn tail).
     pub recovery: RecoveryReport,
+    /// The file holds exactly `lines`, so a new record can go on its end.
+    clean: bool,
 }
 
 /// FNV-1a 64-bit — the workspace's standard content hash (the check
@@ -353,6 +357,15 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     f.sync_all()?;
     drop(f);
     std::fs::rename(&tmp, path)
+}
+
+/// Writes `line` and a newline to the end of the existing file at `path`
+/// and syncs the file's data.
+fn append_synced(path: &Path, line: &str) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let mut f = std::fs::OpenOptions::new().append(true).open(path)?;
+    f.write_all(format!("{line}\n").as_bytes())?;
+    f.sync_data()
 }
 
 /// A fresh scratch directory `{temp}/{prefix}-{pid}-{n}` (`n` unique in
@@ -510,6 +523,7 @@ impl Journal {
                         created: true,
                         ..RecoveryReport::default()
                     },
+                    clean: false,
                 };
                 j.append(Self::header_record(spec, fingerprint, chip_tag))?;
                 return Ok(j);
@@ -526,8 +540,10 @@ impl Journal {
             lines: Vec::new(),
             cells: HashMap::new(),
             recovery: RecoveryReport::default(),
+            clean: false,
         };
         j.load(&text, fingerprint)?;
+        j.clean = j.recovery.torn_tail_bytes == 0;
         tlp_obs::metrics::JOURNAL_RECORDS_RECOVERED.add(j.recovery.records_recovered as u64);
         tlp_obs::metrics::JOURNAL_TORN_TAIL_BYTES.add(j.recovery.torn_tail_bytes as u64);
         Ok(j)
@@ -667,7 +683,7 @@ impl Journal {
     }
 
     /// Appends one record: checksum the compact rendering, push the
-    /// line, and flush the whole journal atomically.
+    /// line, and flush it.
     fn append(&mut self, record: Json) -> Result<(), JournalError> {
         if let Err(e) = record.check_finite() {
             return Err(JournalError::NonFinite {
@@ -682,9 +698,17 @@ impl Journal {
         Ok(())
     }
 
-    /// Whole-file atomic flush (see [`write_atomic`]): the on-disk
-    /// journal is always one complete version or the other, never a mix.
-    fn flush(&self) -> Result<(), JournalError> {
+    /// Puts the newest line on disk: appended and synced when the file
+    /// holds exactly the lines before it, otherwise (a new journal, a
+    /// torn tail to drop, a failed append) by a whole-file atomic rewrite
+    /// (see [`write_atomic`]).
+    fn flush(&mut self) -> Result<(), JournalError> {
+        let newest = self.lines.last().expect("a flush follows a push");
+        if self.clean && append_synced(&self.path, newest).is_ok() {
+            tlp_obs::metrics::HIST_JOURNAL_FLUSH_BYTES.record(newest.len() as u64 + 1);
+            return Ok(());
+        }
+        self.clean = false;
         let mut content = String::new();
         for line in &self.lines {
             content.push_str(line);
@@ -694,6 +718,7 @@ impl Journal {
             path: self.path.display().to_string(),
             message: e.to_string(),
         })?;
+        self.clean = true;
         tlp_obs::metrics::HIST_JOURNAL_FLUSH_BYTES.record(content.len() as u64);
         Ok(())
     }
@@ -944,6 +969,44 @@ mod tests {
         assert_eq!(j.recovery.torn_tail_bytes, garbage.len());
         assert!(j.cell("water-nsq", 1).unwrap().completed.is_some());
         assert!(j.recovery.summary(&path).contains("WARNING"));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn appends_go_on_the_end_and_a_torn_tail_is_rewritten_away() {
+        let path = tmp("append");
+        let _ = std::fs::remove_file(&path);
+        let on_disk = || std::fs::read_to_string(&path).unwrap();
+        let held = |j: &Journal| j.lines.iter().map(|l| format!("{l}\n")).collect::<String>();
+        #[cfg(unix)]
+        let inode = || std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(&path).unwrap());
+
+        let mut j = open(&path, JournalMode::Checkpoint).unwrap();
+        #[cfg(unix)]
+        let created = inode();
+        j.record_start("water-nsq", 1, 7).unwrap();
+        // A replacing write would have made a new file while this one
+        // still existed, so the inode tells.
+        #[cfg(unix)]
+        assert_eq!(inode(), created, "an append replaced the file");
+        j.record_completed("water-nsq", 1, 7, &row(), 1, 9).unwrap();
+        assert_eq!(on_disk(), held(&j));
+        drop(j);
+
+        // A torn tail is dropped on load and gone from the file after
+        // the next append.
+        let mut text = on_disk();
+        text.push_str("deadbeefdeadbeef {\"kind\":\"sta");
+        std::fs::write(&path, &text).unwrap();
+        let mut j = open(&path, JournalMode::Resume).unwrap();
+        assert!(j.recovery.torn_tail_bytes > 0);
+        j.record_start("water-nsq", 2, 7).unwrap();
+        j.record_completed("water-nsq", 2, 7, &row(), 1, 9).unwrap();
+        assert_eq!(on_disk(), held(&j));
+        drop(j);
+        let j = open(&path, JournalMode::Resume).unwrap();
+        assert_eq!(j.recovery.records_recovered, 4);
+        assert_eq!(j.recovery.torn_tail_bytes, 0);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -10,7 +10,7 @@ use super::http::{Request, Response};
 use super::jobs::{parse_submission, JobRecord, JobState, JobStore, JobStoreError};
 use super::middleware::Admission;
 use super::router::{query_param, route, Route};
-use super::{pump, Ctx};
+use super::{pump, Ctx, Progress};
 use crate::journal::{num_field, str_field, Journal, JournalMode};
 use crate::pool::Pool;
 use crate::shard::{LeaseOffer, SegmentOutcome, ShardError};
@@ -191,9 +191,9 @@ fn submit<'a>(ctx: Ctx<'a>, p: &Pool<'a>, req: &Request) -> Response {
 }
 
 /// Opens the job's cell journal read-only, if it exists and matches.
-/// The journal's atomic whole-file replacement makes this safe while
-/// the job is running: a reader sees either the previous flush or the
-/// next one, never a torn file.
+/// This is safe while the job runs: a line caught half-appended reads as
+/// a torn tail and is left out, so the answer lags the journal by at
+/// most one record and never misreads it.
 fn open_journal(ctx: Ctx<'_>, record: &JobRecord) -> Option<Journal> {
     let path = ctx.store.journal_path(&record.id);
     if !path.exists() {
@@ -215,7 +215,7 @@ fn open_journal(ctx: Ctx<'_>, record: &JobRecord) -> Option<Journal> {
 
 /// The progress a long-poller watches: the lifecycle state plus how many
 /// cells the journal has settled. Any change releases the poll.
-fn progress_mark(ctx: Ctx<'_>, record: &JobRecord) -> (JobState, usize) {
+fn progress_mark(ctx: Ctx<'_>, record: &JobRecord) -> Progress {
     let completed = open_journal(ctx, record)
         .map(|j| j.completed_cells())
         .unwrap_or(0);
@@ -223,6 +223,9 @@ fn progress_mark(ctx: Ctx<'_>, record: &JobRecord) -> (JobState, usize) {
 }
 
 fn status(ctx: Ctx<'_>, req: &Request, id: &str) -> Response {
+    // Counted before the snapshot, so a write landing between the two
+    // still ends the wait below.
+    let mut writes = ctx.store.writes();
     let mut snap = match ctx.store.snapshot(id) {
         Ok(snap) => snap,
         Err(e) => return store_error(&e),
@@ -236,20 +239,45 @@ fn status(ctx: Ctx<'_>, req: &Request, id: &str) -> Response {
         let budget =
             Duration::from_secs(wait_secs).min(ctx.config.request_deadline.saturating_sub(margin));
         let deadline = Instant::now() + budget;
-        let mark = progress_mark(ctx, &snap.value);
-        while Instant::now() < deadline && !ctx.draining() && !tlp_obs::cancel::cancelled() {
-            std::thread::sleep(Duration::from_millis(50));
+        let mut progress = progress_mark(ctx, &snap.value);
+        // News is progress past the last answer about this job, so a
+        // change that landed after it ends this poll at once. A job not
+        // asked about yet (or last seen finished) waits for a change.
+        let answered = ctx.answered.lock().expect("answer log poisoned");
+        let mark = answered.get(id).copied().unwrap_or(progress);
+        drop(answered);
+        while progress == mark {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || ctx.draining() || tlp_obs::cancel::cancelled() {
+                break;
+            }
+            // A state change is a record write and wakes the poll at
+            // once. Settled cells are only in the journal, so they, the
+            // drain and the cancellation are looked at every 50 ms.
+            writes = ctx
+                .store
+                .wait_for_write(writes, left.min(Duration::from_millis(50)));
             snap = match ctx.store.snapshot(id) {
                 Ok(next) => next,
                 Err(e) => return store_error(&e),
             };
-            if progress_mark(ctx, &snap.value) != mark {
-                break;
-            }
+            progress = progress_mark(ctx, &snap.value);
         }
     }
     let mut doc = job_summary(&snap.value);
-    if let Some(journal) = open_journal(ctx, &snap.value) {
+    let journal = open_journal(ctx, &snap.value);
+    let shown = (
+        snap.value.state,
+        journal.as_ref().map_or(0, Journal::completed_cells),
+    );
+    let mut answered = ctx.answered.lock().expect("answer log poisoned");
+    if shown.0.is_terminal() {
+        answered.remove(id);
+    } else {
+        answered.insert(id.to_string(), shown);
+    }
+    drop(answered);
+    if let Some(journal) = journal {
         doc.set("cells_completed", journal.completed_cells());
         let spec = snap.value.spec();
         let mut cells = Vec::new();

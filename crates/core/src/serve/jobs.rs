@@ -29,7 +29,8 @@
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
+use std::time::Duration;
 
 use crate::chipstate::ExperimentalChip;
 use crate::cli_args::DEFAULT_SEED;
@@ -397,6 +398,11 @@ pub struct FsJobStore {
     // Serializes read-modify-write cycles within this process; cross-
     // process safety comes from the version check plus atomic rename.
     lock: Mutex<()>,
+    // Records this store has written or removed, and the signal each
+    // one raises; kept apart from `lock` so a waiter never sits behind
+    // a write's fsync.
+    writes: Mutex<u64>,
+    wrote: Condvar,
 }
 
 impl FsJobStore {
@@ -414,7 +420,32 @@ impl FsJobStore {
         Ok(Self {
             dir,
             lock: Mutex::new(()),
+            writes: Mutex::new(0),
+            wrote: Condvar::new(),
         })
+    }
+
+    /// How many records this store has written or removed so far.
+    pub(crate) fn writes(&self) -> u64 {
+        *self.writes.lock().expect("write count poisoned")
+    }
+
+    /// Blocks until this store has made more than `seen` writes, or
+    /// `timeout` passes, and returns the write count. A long-poll reads
+    /// [`FsJobStore::writes`] before its snapshot and waits here, so a
+    /// job's state change wakes it at once.
+    pub(crate) fn wait_for_write(&self, seen: u64, timeout: Duration) -> u64 {
+        let count = self.writes.lock().expect("write count poisoned");
+        let (count, _) = self
+            .wrote
+            .wait_timeout_while(count, timeout, |n| *n == seen)
+            .expect("write count poisoned");
+        *count
+    }
+
+    fn wrote(&self) {
+        *self.writes.lock().expect("write count poisoned") += 1;
+        self.wrote.notify_all();
     }
 
     /// The record file for `id`.
@@ -504,6 +535,7 @@ impl JobStore for FsJobStore {
         record.seq = next_seq;
         record.id = format!("j{next_seq:06}");
         self.write_record(&record, 1)?;
+        self.wrote();
         Ok(Versioned {
             value: record,
             version: 1,
@@ -540,6 +572,7 @@ impl JobStore for FsJobStore {
         }
         let version = expected_version + 1;
         self.write_record(&next, version)?;
+        self.wrote();
         Ok(Versioned {
             value: next,
             version,
@@ -558,6 +591,7 @@ impl JobStore for FsJobStore {
         }
         let path = self.record_path(id);
         fs::remove_file(&path).map_err(|e| self.io_err(&path, e))?;
+        self.wrote();
         let journal = self.journal_path(id);
         if journal.exists() {
             fs::remove_file(&journal).map_err(|e| self.io_err(&journal, e))?;
@@ -830,6 +864,49 @@ mod tests {
                 found: 2
             }
         );
+    }
+
+    #[test]
+    fn every_write_wakes_a_waiter_and_silence_times_it_out() {
+        let dir = temp_dir("writes");
+        let store = FsJobStore::open(&dir.0).unwrap();
+        let seen = store.writes();
+        assert_eq!(
+            store.wait_for_write(seen, Duration::from_millis(20)),
+            seen,
+            "nothing was written, so the wait runs out"
+        );
+        let created = store.create(record()).unwrap();
+        assert_eq!(
+            store.wait_for_write(seen, Duration::from_secs(60)),
+            seen + 1,
+            "a write made before the wait ends it at once"
+        );
+        // A commit on another thread wakes the waiter long before its
+        // timeout (or lands first, which ends the wait at once too).
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let t0 = std::time::Instant::now();
+                let count = store.wait_for_write(seen + 1, Duration::from_secs(60));
+                (count, t0.elapsed())
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            let mut next = created.value.clone();
+            next.state = JobState::Running;
+            store
+                .commit(&created.value.id, created.version, next)
+                .unwrap();
+            let (count, waited) = waiter.join().unwrap();
+            assert_eq!(count, seen + 2);
+            assert!(waited < Duration::from_secs(30), "waited {waited:?}");
+        });
+        // A refused commit writes nothing; an abort removes a record.
+        assert!(store
+            .commit(&created.value.id, created.version, record())
+            .is_err());
+        assert_eq!(store.writes(), seen + 2);
+        store.abort(&created.value.id, created.version + 1).unwrap();
+        assert_eq!(store.writes(), seen + 3);
     }
 
     #[test]

@@ -27,7 +27,11 @@
 //! `GET /sweeps/{id}` additionally honors `?wait=<secs>`: the response
 //! is held back until the job's state or completed-cell count changes
 //! (or the wait — clamped under the request deadline — runs out), so
-//! pollers see progress without a tight request loop.
+//! pollers see progress without a tight request loop. Progress is
+//! counted from the daemon's last answer about the job, so a change
+//! that lands between two polls answers the second at once. A state
+//! change answers as soon as the job store writes it; settled cells are
+//! read from the journal every 50 ms.
 //!
 //! Robustness posture:
 //!
@@ -57,7 +61,7 @@ pub mod router;
 
 mod handlers;
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::Write as _;
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -200,6 +204,10 @@ impl From<JobStoreError> for ServeError {
     }
 }
 
+/// A job's progress as a status answer shows it: its lifecycle state
+/// and how many cells its journal has settled.
+pub(crate) type Progress = (JobState, usize);
+
 /// Dispatcher bookkeeping: how many jobs run now, who waits.
 pub(crate) struct Dispatch {
     pub(crate) active: usize,
@@ -212,6 +220,7 @@ pub(crate) struct Ctx<'a> {
     pub(crate) store: &'a FsJobStore,
     pub(crate) limiter: &'a RateLimiter,
     pub(crate) dispatch: &'a Mutex<Dispatch>,
+    pub(crate) answered: &'a Mutex<HashMap<String, Progress>>,
     pub(crate) chip: &'a ExperimentalChip,
     pub(crate) shards: &'a ShardBoard,
 }
@@ -236,6 +245,9 @@ pub struct Server {
     store: FsJobStore,
     limiter: RateLimiter,
     dispatch: Mutex<Dispatch>,
+    /// The progress last answered for each unfinished job, so a
+    /// long-poll can tell that a change landed between two polls.
+    answered: Mutex<HashMap<String, Progress>>,
     shards: ShardBoard,
 }
 
@@ -277,6 +289,7 @@ impl Server {
                 active: 0,
                 queue: VecDeque::new(),
             }),
+            answered: Mutex::new(HashMap::new()),
             shards,
         })
     }
@@ -346,6 +359,7 @@ impl Server {
             store: &self.store,
             limiter: &self.limiter,
             dispatch: &self.dispatch,
+            answered: &self.answered,
             chip: &chip,
             shards: &self.shards,
         };

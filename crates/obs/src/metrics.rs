@@ -386,8 +386,9 @@ histograms! { HISTOGRAMS, new;
     HIST_REQUEST_LATENCY => "sim.request_latency_cycles",
     /// Matrix dimension per LU factorization.
     HIST_LU_DIMENSION => "linalg.lu_dimension",
-    /// Bytes written per checkpoint-journal flush (each flush rewrites
-    /// the whole file and renames it into place).
+    /// Bytes written per checkpoint-journal flush: one record's line
+    /// when it is appended, the whole file when a new journal or a
+    /// recovered torn tail makes the flush rewrite it.
     HIST_JOURNAL_FLUSH_BYTES => "journal.flush_bytes",
 }
 

@@ -3,6 +3,7 @@
 //! sweep (also for a core-mix + budget job), deterministic 429 shedding under a burst while `/health` stays
 //! responsive, oversized bodies rejected with 413, malformed requests
 //! answered 400 (never a panic), graceful drain via the shutdown flag,
+//! a long-poll answering at once a change made since the last answer,
 //! and a crashed-mid-run job (running state + truncated journal, the
 //! exact debris a `kill -9` leaves) resuming to a byte-identical report
 //! on restart.
@@ -376,6 +377,63 @@ fn crashed_mid_run_job_resumes_to_a_byte_identical_report() {
     let outcome = server.stop();
     assert_eq!(outcome.jobs_completed, 1);
     assert_eq!(outcome.jobs_unfinished, 0);
+}
+
+#[test]
+fn a_change_between_two_polls_answers_the_second_at_once() {
+    let dir = TempDir::new("news");
+    let server = Harness::start(test_config(&dir));
+    let addr = server.addr;
+    // Answered only once the start-up rescan is over, so the job below
+    // stays out of the daemon's queue.
+    assert_eq!(get(addr, "/ready").status, 200);
+
+    // A running job the daemon never queued, written through a store of
+    // the test's own.
+    let store = FsJobStore::open(&dir.0).expect("open store");
+    let created = store
+        .create(JobRecord::new(
+            vec![AppId::Fft],
+            vec![1, 2],
+            Scale::Test,
+            SEED,
+        ))
+        .expect("create job");
+    let id = created.value.id.clone();
+    let mut running = created.value.clone();
+    running.state = JobState::Running;
+    let running = store
+        .commit(&id, created.version, running)
+        .expect("mark running");
+    let status = get(addr, &format!("/sweeps/{id}"));
+    assert!(
+        status.body.contains("\"state\": \"running\""),
+        "{}",
+        status.body
+    );
+
+    // The job fails after that answer: the next poll has news at once
+    // instead of holding for its whole wait.
+    let mut failed = running.value.clone();
+    failed.state = JobState::Failed;
+    failed.error_chain = vec!["stopped by the test".to_string()];
+    store
+        .commit(&id, running.version, failed)
+        .expect("mark failed");
+    let start = Instant::now();
+    let polled = get(addr, &format!("/sweeps/{id}?wait=5"));
+    let elapsed = start.elapsed();
+    assert_eq!(polled.status, 200, "long-poll failed: {}", polled.body);
+    assert!(
+        polled.body.contains("\"state\": \"failed\""),
+        "{}",
+        polled.body
+    );
+    assert!(
+        elapsed < Duration::from_millis(2500),
+        "the poll held {elapsed:?} for a change it could answer at once"
+    );
+    server.stop();
 }
 
 #[test]
