@@ -1,13 +1,15 @@
-//! In-tree scoped-thread work-stealing pool.
+//! In-tree scoped-thread pool with one shared run queue.
 //!
-//! The workspace is dependency-free by design, so this is a small,
-//! honest work-stealing scheduler built on [`std::thread::scope`]:
+//! The workspace is dependency-free by design, so this is a small pool
+//! built on [`std::thread::scope`], sized for its load: 1–16 workers on
+//! tasks of milliseconds to seconds.
 //!
-//! - Every worker owns a deque. [`Pool::spawn`] distributes new tasks
-//!   round-robin; a worker pops its own deque LIFO (newest first, for
-//!   cache warmth) and steals FIFO from the other workers' deques when
-//!   its own runs dry (oldest first, which tends to steal the largest
-//!   remaining subtrees).
+//! - All workers share one queue under one lock. [`Pool::spawn`] pushes
+//!   a task and wakes one parked worker; a worker pops the newest task
+//!   (LIFO) and parks on a condition variable while the queue is empty
+//!   but tasks are still in flight. With one worker the order is fully
+//!   determined, and a `--threads 1` sweep's checkpoint journal records
+//!   its cells in that order: a FIFO queue would change those bytes.
 //! - Tasks may spawn further tasks — the sweep engine uses this for its
 //!   profile/cell graph: a cell task is spawned by whichever of its two
 //!   inputs (the row's anchor task, the cell's own profile task)
@@ -18,213 +20,125 @@
 //! - [`run`] returns once every task, including transitively spawned
 //!   ones, has finished. A panicking task takes its worker down but
 //!   still counts as finished (so the remaining workers drain and exit),
-//!   and the scope re-raises the panic on join.
-//! - [`run_watched`] adds a per-task watchdog: tasks spawned with
-//!   [`Pool::spawn_watched`] get a [`tlp_obs::cancel::CancelToken`]
-//!   installed for their duration, and a dedicated watchdog thread fires
-//!   the token once the task has been executing longer than the
-//!   deadline. Cancellation is *cooperative* — the substrate loops
-//!   (simulator stride checks, thermal fixpoint iterations) poll the
-//!   token and return a typed `DeadlineExceeded` error — so a hung cell
+//!   and [`run`] re-raises the panic once every worker has joined.
+//! - [`run_watched`] adds a per-task deadline: tasks spawned with
+//!   [`Pool::spawn_watched`] run with `start + deadline` installed as
+//!   their thread's [`tlp_obs::cancel`] deadline. Cancellation is
+//!   *cooperative* — the substrate loops (simulator stride checks,
+//!   thermal fixpoint iterations) poll the deadline and return a typed
+//!   `DeadlineExceeded` error once it has passed — so a hung cell
 //!   becomes an ordinary failed outcome while the pool keeps draining.
-//!   Nothing is ever killed mid-write.
+//!   Nothing is ever killed mid-write, and no thread watches the clock.
 //!
-//! Scheduling order is *not* deterministic; users that need
-//! deterministic output (the sweep runner does — its parallel output
-//! must be byte-identical to serial) write results into pre-indexed
-//! slots and reduce in index order afterwards.
+//! Scheduling order across several workers is *not* deterministic;
+//! users that need deterministic output (the sweep runner does — its
+//! parallel output must be byte-identical to serial) write results into
+//! pre-indexed slots and reduce in index order afterwards.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use tlp_obs::cancel::CancelToken;
+type Task<'scope> = Box<dyn FnOnce(&Pool<'scope>) + Send + 'scope>;
 
-struct Task<'scope> {
-    f: Box<dyn FnOnce(&Pool<'scope>) + Send + 'scope>,
-    watched: bool,
-}
-
-/// What the watchdog sees of one worker: the watched task it is
-/// currently executing, if any.
-struct RunningTask {
-    started: Instant,
-    token: CancelToken,
-    fired: bool,
+/// The run queue and its bookkeeping, under one lock.
+struct Queue<'scope> {
+    tasks: VecDeque<Task<'scope>>,
+    /// Tasks spawned but not yet finished (queued or executing). The
+    /// pool is done when this reaches zero.
+    pending: usize,
 }
 
 /// Handle through which running tasks spawn further tasks; created by
 /// [`run`] / [`run_watched`] and passed to every task.
 pub struct Pool<'scope> {
-    queues: Vec<Mutex<VecDeque<Task<'scope>>>>,
-    /// Tasks spawned but not yet finished (queued or executing). The
-    /// pool is done when this reaches zero.
-    pending: AtomicUsize,
-    /// Round-robin cursor for task placement.
-    next: AtomicUsize,
-    /// Per-worker watchdog slots (what each worker is running).
-    running: Vec<Mutex<Option<RunningTask>>>,
-    /// Watchdog deadline for watched tasks; `None` disables the
-    /// watchdog entirely (watched tasks run like plain ones).
+    queue: Mutex<Queue<'scope>>,
+    /// Signalled when a task is queued and when `pending` reaches zero.
+    wake: Condvar,
+    workers: usize,
+    /// Deadline for watched tasks; `None` makes watched tasks run like
+    /// plain ones.
     deadline: Option<Duration>,
 }
 
 impl<'scope> Pool<'scope> {
     fn new(workers: usize, deadline: Option<Duration>) -> Self {
         Self {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(0),
-            next: AtomicUsize::new(0),
-            running: (0..workers).map(|_| Mutex::new(None)).collect(),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                pending: 0,
+            }),
+            wake: Condvar::new(),
+            workers,
             deadline,
         }
     }
 
     /// Number of workers serving this pool.
     pub fn workers(&self) -> usize {
-        self.queues.len()
+        self.workers
     }
 
     /// Enqueues a task. Callable both from outside the pool (seeding)
     /// and from within a running task (fan-out).
     pub fn spawn(&self, task: impl FnOnce(&Pool<'scope>) + Send + 'scope) {
-        self.push(Task {
-            f: Box::new(task),
-            watched: false,
-        });
+        let mut queue = self.queue.lock().expect("pool queue poisoned");
+        queue.pending += 1;
+        queue.tasks.push_back(Box::new(task));
+        drop(queue);
+        self.wake.notify_one();
     }
 
-    /// Enqueues a task under the pool's watchdog deadline (a no-op
-    /// distinction under [`run`], which has no watchdog). Use only for
-    /// tasks whose code paths return typed errors on cancellation; a
-    /// token firing inside a panicking-API path would abort the pool.
+    /// Enqueues a task under the pool's deadline (a no-op distinction
+    /// under [`run`], which has none). Use only for tasks whose code
+    /// paths return typed errors on cancellation; a deadline passing
+    /// inside a panicking-API path would abort the pool.
     pub fn spawn_watched(&self, task: impl FnOnce(&Pool<'scope>) + Send + 'scope) {
-        self.push(Task {
-            f: Box::new(task),
-            watched: true,
+        let Some(deadline) = self.deadline else {
+            return self.spawn(task);
+        };
+        self.spawn(move |p| {
+            let _deadline = tlp_obs::cancel::install(Instant::now() + deadline);
+            task(p);
         });
     }
 
-    fn push(&self, task: Task<'scope>) {
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        let w = self.next.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        self.queues[w]
-            .lock()
-            .expect("pool queue poisoned")
-            .push_back(task);
-    }
-
-    /// Worker loop: drain own deque, steal when empty, exit when no task
-    /// is queued or in flight anywhere.
-    fn work(&self, me: usize) {
-        let n = self.queues.len();
-        let mut idle_spins = 0u32;
+    /// Worker loop: run the newest queued task, park while the queue is
+    /// empty but tasks are in flight (they may spawn more), and exit
+    /// once nothing is queued or in flight.
+    fn work(&self) {
         loop {
-            // Pop the own deque in its own statement so the guard drops
-            // before stealing begins. Folding both into one expression
-            // would hold the own-queue lock across the steal probes —
-            // with every worker idle (each holding its own lock, each
-            // waiting on a neighbour's) that is a hold-and-wait cycle
-            // that deadlocks the whole pool.
-            let mut task = self.queues[me]
-                .lock()
-                .expect("pool queue poisoned")
-                .pop_back();
-            if task.is_none() {
-                task = (1..n).find_map(|d| {
-                    self.queues[(me + d) % n]
-                        .lock()
-                        .expect("pool queue poisoned")
-                        .pop_front()
-                });
-            }
-            match task {
-                Some(task) => {
-                    idle_spins = 0;
-                    // Decrement on unwind too: a panicking task must not
-                    // leave `pending` stuck above zero, or the surviving
-                    // workers would spin forever while the scope waits to
-                    // join this one.
-                    struct Finished<'a>(&'a AtomicUsize);
-                    impl Drop for Finished<'_> {
-                        fn drop(&mut self) {
-                            self.0.fetch_sub(1, Ordering::SeqCst);
-                        }
-                    }
-                    let _finished = Finished(&self.pending);
-                    if task.watched && self.deadline.is_some() {
-                        // Register with the watchdog and expose the
-                        // token to everything the task calls; both are
-                        // torn down on unwind too.
-                        struct Deregister<'a>(&'a Mutex<Option<RunningTask>>);
-                        impl Drop for Deregister<'_> {
-                            fn drop(&mut self) {
-                                *match self.0.lock() {
-                                    Ok(g) => g,
-                                    Err(poisoned) => poisoned.into_inner(),
-                                } = None;
-                            }
-                        }
-                        let token = CancelToken::new();
-                        *self.running[me].lock().expect("watchdog slot poisoned") =
-                            Some(RunningTask {
-                                started: Instant::now(),
-                                token: token.clone(),
-                                fired: false,
-                            });
-                        let _deregister = Deregister(&self.running[me]);
-                        let _installed = tlp_obs::cancel::install(token);
-                        (task.f)(self);
-                    } else {
-                        (task.f)(self);
-                    }
-                }
-                None => {
-                    if self.pending.load(Ordering::SeqCst) == 0 {
-                        return;
-                    }
-                    // Someone is still running (and may spawn more):
-                    // yield, then back off to a short sleep so an idle
-                    // worker does not burn a core against a long task.
-                    idle_spins += 1;
-                    if idle_spins < 64 {
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(std::time::Duration::from_micros(100));
+            let queue = self.queue.lock().expect("pool queue poisoned");
+            let mut queue = self
+                .wake
+                .wait_while(queue, |q| q.tasks.is_empty() && q.pending > 0)
+                .expect("pool queue poisoned");
+            let Some(task) = queue.tasks.pop_back() else {
+                return;
+            };
+            drop(queue);
+            // Finish on unwind too: a panicking task must not leave
+            // `pending` stuck above zero, or the parked workers would
+            // wait forever while `run` waits to join this one.
+            struct Finished<'a, 'scope>(&'a Pool<'scope>);
+            impl Drop for Finished<'_, '_> {
+                fn drop(&mut self) {
+                    // Never panic here: this may run while a task unwinds.
+                    let mut queue = self.0.queue.lock().unwrap_or_else(PoisonError::into_inner);
+                    queue.pending -= 1;
+                    if queue.pending == 0 {
+                        self.0.wake.notify_all();
                     }
                 }
             }
-        }
-    }
-
-    /// Watchdog loop: scan every worker's running slot and fire the
-    /// cancellation token of any watched task executing past `deadline`.
-    /// Firing is one-shot per task and merely requests cooperative
-    /// cancellation; the task itself converts it into a typed error.
-    fn watch(&self, deadline: Duration, stop: &AtomicBool) {
-        let tick = (deadline / 8)
-            .min(Duration::from_millis(50))
-            .max(Duration::from_millis(1));
-        while !stop.load(Ordering::SeqCst) {
-            for slot in &self.running {
-                let mut guard = slot.lock().expect("watchdog slot poisoned");
-                if let Some(task) = guard.as_mut() {
-                    if !task.fired && task.started.elapsed() >= deadline {
-                        task.token.fire();
-                        task.fired = true;
-                        tlp_obs::metrics::SWEEP_DEADLINE_CANCELLATIONS.incr();
-                    }
-                }
-            }
-            std::thread::sleep(tick);
+            let _finished = Finished(self);
+            task(self);
         }
     }
 }
 
-/// Runs a work-stealing pool of `workers` scoped threads until every
-/// task seeded by `seed` — and every task those tasks spawn — has
-/// completed.
+/// Runs a pool of `workers` scoped threads until every task seeded by
+/// `seed` — and every task those tasks spawn — has completed.
 ///
 /// `workers` is clamped to at least 1. With one worker the pool degrades
 /// to serial execution on that worker's thread.
@@ -236,11 +150,12 @@ pub fn run<'env>(workers: usize, seed: impl FnOnce(&Pool<'env>)) {
     run_watched(workers, None, seed);
 }
 
-/// Like [`run`], plus a per-task watchdog: tasks spawned with
-/// [`Pool::spawn_watched`] that execute longer than `deadline` get their
-/// [`CancelToken`] fired (see [`tlp_obs::cancel`]), turning a hung task
-/// into a typed `DeadlineExceeded` failure at the task's next
-/// cancellation poll. `deadline: None` is exactly [`run`].
+/// Like [`run`], plus a per-task deadline: a task spawned with
+/// [`Pool::spawn_watched`] runs with its start time plus `deadline`
+/// installed as its thread's cancellation deadline (see
+/// [`tlp_obs::cancel`]), turning a hung task into a typed
+/// `DeadlineExceeded` failure at the task's next cancellation poll
+/// after the deadline. `deadline: None` is exactly [`run`].
 ///
 /// # Panics
 ///
@@ -252,38 +167,25 @@ pub fn run_watched<'env>(
 ) {
     let pool = Pool::new(workers.max(1), deadline);
     seed(&pool);
-    let stop = AtomicBool::new(false);
     // Workers record into the caller's trace capture, if it has one.
     let recording = tlp_obs::recording();
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..pool.workers())
-            .map(|w| {
+        let handles: Vec<_> = (0..pool.workers)
+            .map(|_| {
                 let pool = &pool;
                 s.spawn(move || {
                     let _joined = recording.enter();
-                    pool.work(w)
+                    pool.work()
                 })
             })
             .collect();
-        let watchdog = deadline.map(|d| {
-            let (pool, stop) = (&pool, &stop);
-            s.spawn(move || {
-                let _joined = recording.enter();
-                pool.watch(d, stop)
-            })
-        });
-        // Join the workers explicitly (capturing at most one panic
-        // payload) so the watchdog can be told to stop before the scope
-        // would try to join it — otherwise it would spin forever.
+        // Join the workers explicitly so the first task panic surfaces
+        // with its own payload, not the scope's generic one.
         let mut panic = None;
         for h in handles {
             if let Err(payload) = h.join() {
                 panic.get_or_insert(payload);
             }
-        }
-        stop.store(true, Ordering::SeqCst);
-        if let Some(w) = watchdog {
-            let _ = w.join();
         }
         if let Some(payload) = panic {
             std::panic::resume_unwind(payload);
@@ -302,7 +204,7 @@ pub fn default_workers() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     #[test]
     fn runs_every_seeded_task() {
@@ -415,6 +317,23 @@ mod tests {
             });
         }));
         assert!(result.is_err(), "task panic must reach the caller");
+        // The pool's only task panics after the other workers have
+        // parked: the finish guard's wake-up on unwind must release
+        // them, or `run` never returns.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run(4, |p| {
+                p.spawn(|_| {
+                    std::thread::sleep(Duration::from_millis(50));
+                    panic!("injected late panic");
+                });
+            });
+        }));
+        let payload = result.expect_err("task panic must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"injected late panic"),
+            "the task's own payload is re-raised"
+        );
     }
 
     #[test]
@@ -437,19 +356,14 @@ mod tests {
     }
 
     #[test]
-    fn many_idle_workers_spinning_beside_a_long_task_do_not_deadlock() {
-        // Regression test: stealing used to hold the worker's own queue
-        // lock while probing the other queues. Workers that idle for a
-        // long stretch — the serve daemon's steady state — would each
-        // grab their own lock and wait on a neighbour's, deadlocking the
-        // pool within seconds. Post-fix, one long-running task plus many
-        // spinning idlers must finish promptly.
+    fn parked_workers_take_a_late_fan_out() {
+        // Seven workers park beside one long task — the serve daemon's
+        // steady state. A fan-out that arrives after 300 ms must still
+        // wake them and run to completion.
         let hits = AtomicU64::new(0);
         run(8, |p| {
             p.spawn(|p| {
                 std::thread::sleep(Duration::from_millis(300));
-                // Late fan-out: the idlers must still be alive to take
-                // these after spinning the whole time.
                 for _ in 0..16 {
                     p.spawn(|_| {
                         hits.fetch_add(1, Ordering::SeqCst);
@@ -470,15 +384,15 @@ mod tests {
                 while !tlp_obs::cancel::cancelled() {
                     assert!(
                         start.elapsed() < Duration::from_secs(10),
-                        "watchdog never fired"
+                        "deadline never passed"
                     );
                     std::thread::yield_now();
                 }
                 watched_saw_cancel.store(true, Ordering::SeqCst);
             });
             p.spawn(|_| {
-                // A plain task outlives the deadline untouched: no token
-                // is ever installed for it.
+                // A plain task outlives the deadline untouched: no
+                // deadline is ever installed for it.
                 std::thread::sleep(Duration::from_millis(60));
                 plain_saw_cancel.store(tlp_obs::cancel::cancelled(), Ordering::SeqCst);
             });
@@ -502,7 +416,7 @@ mod tests {
     #[test]
     fn cancellation_tokens_are_per_task_not_sticky_on_the_worker() {
         // After a cancelled watched task finishes, the next watched task
-        // on the same worker must get a fresh, unfired token.
+        // on the same worker must get a fresh deadline.
         run_watched(1, Some(Duration::from_millis(10)), |p| {
             p.spawn_watched(|p| {
                 while !tlp_obs::cancel::cancelled() {
@@ -511,7 +425,7 @@ mod tests {
                 p.spawn_watched(|_| {
                     assert!(
                         !tlp_obs::cancel::cancelled(),
-                        "fresh task saw a stale fired token"
+                        "fresh task saw a stale passed deadline"
                     );
                 });
             });

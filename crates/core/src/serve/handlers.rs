@@ -213,13 +213,13 @@ fn open_journal(ctx: Ctx<'_>, record: &JobRecord) -> Option<Journal> {
     .ok()
 }
 
-/// The progress a long-poller watches: the lifecycle state plus how many
-/// cells the journal has settled. Any change releases the poll.
-fn progress_mark(ctx: Ctx<'_>, record: &JobRecord) -> Progress {
-    let completed = open_journal(ctx, record)
-        .map(|j| j.completed_cells())
-        .unwrap_or(0);
-    (record.state, completed)
+/// One look at a job: its journal, read once, and the progress a
+/// long-poller watches — the lifecycle state plus how many cells the
+/// journal has settled. Any change in the progress releases the poll.
+fn look(ctx: Ctx<'_>, record: &JobRecord) -> (Progress, Option<Journal>) {
+    let journal = open_journal(ctx, record);
+    let completed = journal.as_ref().map_or(0, Journal::completed_cells);
+    ((record.state, completed), journal)
 }
 
 fn status(ctx: Ctx<'_>, req: &Request, id: &str) -> Response {
@@ -230,16 +230,17 @@ fn status(ctx: Ctx<'_>, req: &Request, id: &str) -> Response {
         Ok(snap) => snap,
         Err(e) => return store_error(&e),
     };
+    let (mut progress, mut journal) = look(ctx, &snap.value);
     // `?wait=<secs>` long-poll: hold the response until the job makes
     // progress or the wait runs out. The wait is clamped safely under
-    // the request deadline so the pool watchdog never reaps a healthy
-    // poll, and the loop yields early on drain or cancellation.
+    // the request deadline so the task's own cancellation deadline never
+    // cuts a healthy poll short, and the loop yields early on drain or
+    // cancellation. The answer comes from the look that ended the wait.
     if let Some(wait_secs) = query_param(&req.target, "wait").and_then(|v| v.parse::<u64>().ok()) {
         let margin = Duration::from_secs(1);
         let budget =
             Duration::from_secs(wait_secs).min(ctx.config.request_deadline.saturating_sub(margin));
         let deadline = Instant::now() + budget;
-        let mut progress = progress_mark(ctx, &snap.value);
         // News is progress past the last answer about this job, so a
         // change that landed after it ends this poll at once. A job not
         // asked about yet (or last seen finished) waits for a change.
@@ -261,20 +262,15 @@ fn status(ctx: Ctx<'_>, req: &Request, id: &str) -> Response {
                 Ok(next) => next,
                 Err(e) => return store_error(&e),
             };
-            progress = progress_mark(ctx, &snap.value);
+            (progress, journal) = look(ctx, &snap.value);
         }
     }
     let mut doc = job_summary(&snap.value);
-    let journal = open_journal(ctx, &snap.value);
-    let shown = (
-        snap.value.state,
-        journal.as_ref().map_or(0, Journal::completed_cells),
-    );
     let mut answered = ctx.answered.lock().expect("answer log poisoned");
-    if shown.0.is_terminal() {
+    if progress.0.is_terminal() {
         answered.remove(id);
     } else {
-        answered.insert(id.to_string(), shown);
+        answered.insert(id.to_string(), progress);
     }
     drop(answered);
     if let Some(journal) = journal {

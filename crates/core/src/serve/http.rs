@@ -9,10 +9,11 @@
 //! beyond the caps.
 //!
 //! Two clocks bound a read: a wall-clock deadline inside the parser
-//! (self-defense even when run standalone) and the serve pool's watchdog,
-//! which fires the task's [`tlp_obs::cancel`] token past the same
-//! deadline; the read loop polls the token between reads, so a stalled
-//! peer costs one timeout tick, never a worker.
+//! (self-defense even when run standalone) and the [`tlp_obs::cancel`]
+//! deadline the serve pool installs for the connection's task, which
+//! passes at the same time measured from the task's start; the read
+//! loop checks both between reads, so a stalled peer costs one timeout
+//! tick, never a worker.
 
 use std::io::Read;
 use std::time::{Duration, Instant};
@@ -94,7 +95,7 @@ pub enum HttpParseError {
     /// The peer closed the connection before a full request arrived.
     ConnectionClosed,
     /// The read exceeded [`HttpLimits::deadline`] (slow-loris defense),
-    /// or the pool watchdog fired the task's cancellation token.
+    /// or the task's cancellation deadline passed.
     Timeout,
     /// The socket failed outright (reset, broken pipe, …).
     Io(String),

@@ -320,6 +320,14 @@ pub enum JobStoreError {
         /// What was wrong.
         message: String,
     },
+    /// A record its own reader would refuse (its axes fail
+    /// [`parse_submission`]'s checks); nothing was written.
+    Invalid {
+        /// The id of the refused record.
+        id: String,
+        /// What was wrong.
+        message: String,
+    },
     /// No job with this id.
     Missing {
         /// The id looked up.
@@ -345,6 +353,9 @@ impl std::fmt::Display for JobStoreError {
             }
             JobStoreError::Corrupt { path, message } => {
                 write!(f, "corrupt job record {}: {message}", path.display())
+            }
+            JobStoreError::Invalid { id, message } => {
+                write!(f, "invalid job record {id}: {message}")
             }
             JobStoreError::Missing { id } => write!(f, "no job named {id}"),
             JobStoreError::VersionConflict {
@@ -484,10 +495,17 @@ impl FsJobStore {
 
     /// Writes `record` at `version` via tmp + fsync + rename, so a crash
     /// leaves either the previous file or the new one — never a torn
-    /// hybrid.
+    /// hybrid. A record whose axes `read_record` would refuse is
+    /// refused here instead, and nothing is written: one such file would
+    /// stop every later [`JobStore::list`].
     fn write_record(&self, record: &JobRecord, version: u64) -> Result<(), JobStoreError> {
+        let doc = record.to_json(version);
+        parse_axes(&doc, true).map_err(|message| JobStoreError::Invalid {
+            id: record.id.clone(),
+            message,
+        })?;
         let path = self.record_path(&record.id);
-        let mut payload = record.to_json(version).to_string_pretty();
+        let mut payload = doc.to_string_pretty();
         payload.push('\n');
         write_atomic(&path, payload.as_bytes()).map_err(|e| self.io_err(&path, e))
     }
@@ -808,6 +826,31 @@ mod tests {
             store.list().unwrap_err(),
             JobStoreError::Corrupt { .. }
         ));
+    }
+
+    #[test]
+    fn records_the_reader_would_refuse_are_never_written() {
+        let dir = temp_dir("invalid");
+        let store = FsJobStore::open(&dir.0).unwrap();
+        let bad = || JobRecord::new(vec![AppId::Fft], vec![2, 4], Scale::Test, 7);
+        let err = store.create(bad()).unwrap_err();
+        assert!(
+            matches!(&err, JobStoreError::Invalid { message, .. } if message.contains("start at 1")),
+            "{err}"
+        );
+        assert!(store.list().unwrap().is_empty());
+
+        let created = store.create(record()).unwrap();
+        let id = created.value.id.clone();
+        let mut next = bad();
+        next.id = id.clone();
+        next.seq = created.value.seq;
+        assert!(matches!(
+            store.commit(&id, created.version, next),
+            Err(JobStoreError::Invalid { .. })
+        ));
+        assert_eq!(store.snapshot(&id).unwrap(), created);
+        assert_eq!(store.list().unwrap(), [created]);
     }
 
     #[test]

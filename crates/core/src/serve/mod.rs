@@ -39,8 +39,8 @@
 //!   recursion-limited JSON parse, and typed rejections — garbage bytes
 //!   get a `4xx`, never a panic ([`http`]).
 //! - **Slow-loris defense**: reads carry a wall-clock deadline *and* run
-//!   as watched pool tasks whose [`tlp_obs::cancel`] token the pool
-//!   watchdog fires past the same deadline.
+//!   as watched pool tasks, under a [`tlp_obs::cancel`] deadline that
+//!   passes at the same time.
 //! - **Backpressure**: per-IP token buckets ([`middleware`]) answer
 //!   `429` + `Retry-After`; a bounded admission queue sheds submissions
 //!   the same way instead of queueing without bound.
@@ -117,7 +117,7 @@ pub struct ServeConfig {
     pub api_key: Option<String>,
     /// Worker threads per sweep (`0` = one per CPU).
     pub job_threads: usize,
-    /// Per-cell watchdog deadline forwarded to the sweep engine.
+    /// Per-cell deadline forwarded to the sweep engine.
     pub cell_deadline: Option<Duration>,
     /// Drain flag: raising it stops the accept loop and interrupts
     /// running sweeps at the next cell boundary. The CLI wires this to
@@ -428,7 +428,7 @@ fn handle_connection<'a>(ctx: Ctx<'a>, p: &Pool<'a>, mut stream: TcpStream, ip: 
     let started = Instant::now();
     SERVE_HTTP_REQUESTS.incr();
     // Short read timeouts make every blocked read a poll point for the
-    // parser's deadline and the watchdog's cancellation token.
+    // parser's deadline and the task's cancellation deadline.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let _ = stream.set_write_timeout(Some(ctx.config.request_deadline));
     let limits = HttpLimits {

@@ -53,7 +53,7 @@
 //!
 //! # Parallel execution
 //!
-//! The engine runs a small task graph on an in-tree work-stealing pool
+//! The engine runs a small task graph on an in-tree thread pool
 //! ([`crate::pool`]). Each workload row w gets an *anchor* task — the
 //! nominal-V/f single-core run (for a batch application, its n = 1
 //! profile run) plus the single-core reference measurement — and each
@@ -84,9 +84,10 @@
 //!   the resumed report — including its JSON rendering — is
 //!   byte-identical to an uninterrupted run.
 //! - **Watchdog deadlines** ([`SweepBuilder::cell_deadline`]): a cell
-//!   executing past the deadline gets its cancellation token fired (see
-//!   [`tlp_obs::cancel`]); the simulator and thermal solver poll the
-//!   token and return typed `DeadlineExceeded` errors, so a hung cell
+//!   runs with its start time plus the deadline installed as its
+//!   thread's cancellation deadline (see [`tlp_obs::cancel`]); the
+//!   simulator and thermal solver poll it and return typed
+//!   `DeadlineExceeded` errors once it has passed, so a hung cell
 //!   becomes an ordinary [`CellOutcome::Failed`] while the pool keeps
 //!   draining.
 //! - **Poison-cell quarantine** ([`RetryPolicy::quarantine_after`]): a
@@ -441,10 +442,10 @@ pub struct SweepOptions {
     /// [`std::thread::available_parallelism`]; `1` is fully serial.
     /// Output is byte-identical at every setting.
     pub threads: usize,
-    /// Per-cell watchdog deadline: a cell executing longer than this has
-    /// its cancellation token fired and fails with a typed
-    /// `DeadlineExceeded` instead of hanging the sweep. `None` (the
-    /// default) disables the watchdog.
+    /// Per-cell watchdog deadline: a cell executing longer than this
+    /// fails with a typed `DeadlineExceeded` at its next cancellation
+    /// poll instead of hanging the sweep. `None` (the default) disables
+    /// the deadline.
     pub deadline: Option<Duration>,
 }
 
@@ -1352,9 +1353,13 @@ impl Engine<'_> {
                 j.record_completed(&name, n, seed, row, *attempts, *solver_iterations)
             }),
             CellOutcome::Failed { reason, attempts } => {
+                let hung = is_hung(reason);
+                if hung {
+                    tlp_obs::metrics::SWEEP_DEADLINE_CANCELLATIONS.incr();
+                }
                 let chain = error_chain(reason);
                 journal_record(self.journal, |j| {
-                    j.record_failed(&name, n, seed, &chain, *attempts, is_hung(reason))
+                    j.record_failed(&name, n, seed, &chain, *attempts, hung)
                 });
             }
             CellOutcome::Quarantined { .. } => unreachable!("only a resume quarantines"),
@@ -1495,9 +1500,9 @@ impl Engine<'_> {
     }
 
     /// Spawns cell (row `ai`, count index `ni`) at nominal efficiency
-    /// `eps`. Watched: the cell path returns typed errors on watchdog
-    /// cancellation (anchor and profile runs do not, which is why they
-    /// are spawned unwatched).
+    /// `eps`. Watched: the cell path returns typed errors once its
+    /// deadline passes (anchor and profile runs do not, which is why
+    /// they are spawned unwatched).
     fn spawn_cell<'s>(
         &'s self,
         p: &pool::Pool<'s>,

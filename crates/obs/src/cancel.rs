@@ -1,95 +1,76 @@
-//! Cooperative cancellation tokens for long-running solves.
+//! Cooperative cancellation deadlines for long-running solves.
 //!
-//! The sweep engine's per-cell watchdog (see `cmp_tlp::pool`) cannot
+//! The sweep engine's per-cell deadline (see `cmp_tlp::pool`) cannot
 //! kill a thread mid-solve — Rust has no safe thread cancellation — so
-//! overrun handling is cooperative: the supervisor *fires* a
-//! [`CancelToken`] and the hot loops deep in the stack (the simulator's
-//! cycle loop, the thermal fixpoint iteration) *poll* it at safe points
-//! and unwind with a typed `DeadlineExceeded` error.
+//! overrun handling is cooperative: the pool [`install`]s a deadline
+//! before running a watched task, and the hot loops deep in the stack
+//! (the simulator's cycle loop, the thermal fixpoint iteration) *poll*
+//! it at safe points and unwind with a typed `DeadlineExceeded` error
+//! once it has passed. No other thread takes part: a deadline expires
+//! on its own.
 //!
 //! This module lives in `tlp-obs` because it sits at the base of the
 //! workspace DAG: both `tlp-sim` and `tlp-thermal` already depend on it,
 //! and a cancellation check has the same shape as an instrumentation
 //! site — a cheap poll that is almost always false.
 //!
-//! The token reaches the hot loops the same way spans do: through a
-//! thread-local. A worker [`install`]s the token before running a task;
-//! every poll of [`cancelled`] on that thread then observes it, with no
-//! plumbing through the (many) intermediate call signatures. Threads
-//! with no installed token always read `false`.
+//! The deadline reaches the hot loops the same way spans do: through a
+//! thread-local, with no plumbing through the (many) intermediate call
+//! signatures. Threads with no installed deadline always read `false`
+//! and never read the clock.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-/// A shared cancellation flag: cloned handles observe the same state.
-///
-/// Fire-only — a token can never be un-fired. Re-arm by creating a new
-/// token per unit of work (the pool creates one per task).
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-fired token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation. Idempotent and safe from any thread.
-    pub fn fire(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_fired(&self) -> bool {
-        self.0.load(Ordering::Acquire)
-    }
-}
+use std::cell::Cell;
+use std::time::Instant;
 
 thread_local! {
-    static CURRENT: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
+    static DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
 }
 
-/// Installs `token` as this thread's cancellation token for the guard's
-/// lifetime; the previous token (if any) is restored on drop, so nested
-/// installs compose.
-pub fn install(token: CancelToken) -> InstallGuard {
-    let prev = CURRENT.with(|c| c.borrow_mut().replace(token));
-    InstallGuard { prev }
+/// Installs `deadline` as this thread's cancellation deadline for the
+/// guard's lifetime; the previous deadline (if any) is restored on drop,
+/// so nested installs compose.
+pub fn install(deadline: Instant) -> InstallGuard {
+    InstallGuard {
+        prev: DEADLINE.replace(Some(deadline)),
+    }
 }
 
-/// Whether the current thread's installed token has been fired (`false`
-/// when no token is installed). Cheap enough to poll from hot loops at a
+/// Whether the current thread's installed deadline has passed (`false`
+/// when none is installed). Cheap enough to poll from hot loops at a
 /// coarse stride.
 pub fn cancelled() -> bool {
-    CURRENT.with(|c| c.borrow().as_ref().is_some_and(CancelToken::is_fired))
+    DEADLINE
+        .get()
+        .is_some_and(|deadline| Instant::now() >= deadline)
 }
 
-/// Whether this thread has a cancellation token installed at all —
+/// Whether this thread has a cancellation deadline installed at all —
 /// i.e. whether anyone is supervising it. Loops that would otherwise
 /// wait on [`cancelled`] forever (the simulator's injected-hang fault)
-/// consult this to pick between "wait for the watchdog" and "fail fast
+/// consult this to pick between "wait for the deadline" and "fail fast
 /// on their own budget".
 pub fn armed() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
+    DEADLINE.get().is_some()
 }
 
-/// Restores the previously installed token when dropped.
-#[must_use = "dropping the guard immediately uninstalls the token"]
+/// Restores the previously installed deadline when dropped.
+#[must_use = "dropping the guard immediately uninstalls the deadline"]
 pub struct InstallGuard {
-    prev: Option<CancelToken>,
+    prev: Option<Instant>,
 }
 
 impl Drop for InstallGuard {
     fn drop(&mut self) {
-        let prev = self.prev.take();
-        CURRENT.with(|c| *c.borrow_mut() = prev);
+        DEADLINE.set(self.prev);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    const HOUR: Duration = Duration::from_secs(3600);
 
     #[test]
     fn no_token_means_not_cancelled() {
@@ -99,47 +80,34 @@ mod tests {
 
     #[test]
     fn installed_token_arms_the_thread_even_before_firing() {
-        let token = CancelToken::new();
         {
-            let _guard = install(token);
+            let _guard = install(Instant::now() + HOUR);
             assert!(armed());
-            assert!(!cancelled());
+            assert!(!cancelled(), "a future deadline has not passed");
         }
         assert!(!armed());
     }
 
     #[test]
     fn fired_token_is_observed_while_installed() {
-        let token = CancelToken::new();
-        assert!(!token.is_fired());
         {
-            let _guard = install(token.clone());
-            assert!(!cancelled());
-            token.fire();
-            assert!(cancelled());
-            assert!(token.is_fired());
+            let _guard = install(Instant::now());
+            assert!(cancelled(), "a passed deadline cancels");
         }
-        // Uninstalled: the thread no longer observes the fired token.
+        // Uninstalled: the thread no longer observes the passed deadline.
         assert!(!cancelled());
     }
 
     #[test]
     fn nested_installs_restore_the_outer_token() {
-        let outer = CancelToken::new();
-        let _g1 = install(outer.clone());
-        outer.fire();
+        let _g1 = install(Instant::now());
         {
-            let _g2 = install(CancelToken::new());
-            assert!(!cancelled(), "inner token shadows the fired outer one");
+            let _g2 = install(Instant::now() + HOUR);
+            assert!(!cancelled(), "inner deadline shadows the passed outer one");
         }
-        assert!(cancelled(), "outer token restored after inner guard drops");
-    }
-
-    #[test]
-    fn clones_share_state_across_threads() {
-        let token = CancelToken::new();
-        let remote = token.clone();
-        std::thread::spawn(move || remote.fire()).join().unwrap();
-        assert!(token.is_fired());
+        assert!(
+            cancelled(),
+            "outer deadline restored after inner guard drops"
+        );
     }
 }

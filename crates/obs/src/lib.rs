@@ -36,7 +36,7 @@
 //!
 //! Each recording thread buffers its events in a thread-local vector
 //! (shared with the collector behind a mutex that is only ever contended
-//! at flush time). The work-stealing pool's scope join is the
+//! at flush time). The sweep pool's scope join is the
 //! synchronization point: once `pool::run` returns, every worker's
 //! buffer is complete, and [`capture`] drains them into a single
 //! [`Trace`].

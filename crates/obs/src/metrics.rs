@@ -291,7 +291,8 @@ counters! { COUNTERS, new;
     /// Sweep cells quarantined as poison (repeatedly crashed or hung
     /// across resumed runs) and skipped without recomputation.
     SWEEP_CELLS_QUARANTINED => "sweep.cells_quarantined",
-    /// Watchdog deadline cancellations fired against overrunning cells.
+    /// Sweep cells that settled as failed because their per-cell
+    /// deadline passed (`DeadlineExceeded`), one per cell.
     SWEEP_DEADLINE_CANCELLATIONS => "sweep.deadline_cancellations",
     /// Records appended to a checkpoint journal (starts and outcomes).
     JOURNAL_RECORDS_WRITTEN => "journal.records_written",

@@ -357,13 +357,13 @@ impl CmpSimulator {
         let mut parking = Parking::new(n, self.sync.releases());
         while remaining > 0 {
             if self.config.faults.hang {
-                // Injected hang. Supervised (a cancellation token is
-                // installed): stop advancing simulated time entirely and
-                // wait for the watchdog — the deterministic stand-in for
-                // a run that would never finish. Unsupervised: honor the
-                // caller's cycle budget instead of spinning the host CPU
-                // forever — jump simulated time to the budget and let the
-                // shared exhaustion check below report it.
+                // Injected hang. Supervised (a cancellation deadline is
+                // installed): stop advancing simulated time and spin
+                // until the deadline passes — the deterministic stand-in
+                // for a run that would never finish. Unsupervised: honor
+                // the caller's cycle budget instead of spinning the host
+                // CPU forever — jump simulated time to the budget and let
+                // the shared exhaustion check below report it.
                 if tlp_obs::cancel::armed() {
                     if tlp_obs::cancel::cancelled() {
                         return Err(SimError::DeadlineExceeded { cycle });
@@ -415,9 +415,9 @@ impl CmpSimulator {
             }
             if cycle >= next_check {
                 next_check = cycle.saturating_add(DEADLOCK_CHECK_INTERVAL);
-                // Watchdog poll, piggybacked on the deadlock stride so
-                // the steady-state cost is one thread-local read per
-                // 16 Ki simulated cycles.
+                // Deadline poll, piggybacked on the deadlock stride so
+                // the steady-state cost is one thread-local read (plus a
+                // clock read under a deadline) per 16 Ki simulated cycles.
                 if tlp_obs::cancel::cancelled() {
                     return Err(SimError::DeadlineExceeded { cycle });
                 }
@@ -906,12 +906,10 @@ mod tests {
     #[test]
     fn injected_hang_under_fired_watchdog_is_deadline_exceeded() {
         // Supervised hang keeps its original contract: wait for the
-        // cancellation token, then report the deadline.
+        // cancellation deadline, then report it.
         let mut cfg = CmpConfig::ispass05(2);
         cfg.faults.hang = true;
-        let token = tlp_obs::cancel::CancelToken::new();
-        token.fire();
-        let _guard = tlp_obs::cancel::install(token);
+        let _guard = tlp_obs::cancel::install(std::time::Instant::now());
         let err = CmpSimulator::new(cfg, vec![boxed(vec![Op::Int { count: 10 }])])
             .try_run(5_000)
             .unwrap_err();

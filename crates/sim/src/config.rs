@@ -89,13 +89,13 @@ pub struct SimFaults {
     /// exhausts it), forcing a budget/deadlock error.
     pub cycle_budget: Option<u64>,
     /// Hang the run: the run loop stops advancing simulated time and
-    /// spins (yielding) until a supervisor fires the thread's
-    /// [`tlp_obs::cancel`] token, at which point it unwinds as
+    /// spins (yielding) until the thread's [`tlp_obs::cancel`] deadline
+    /// passes, at which point it unwinds as
     /// [`SimError::DeadlineExceeded`](crate::SimError::DeadlineExceeded).
-    /// Models a genuinely hung cell. Under an armed watchdog
-    /// cancellation token it spins until cancelled; otherwise it spins
-    /// until the run's cycle budget is exhausted, so an unsupervised
-    /// `try_run` still terminates (with `CycleBudgetExhausted`).
+    /// Models a genuinely hung cell. Under an installed deadline it
+    /// spins until cancelled; otherwise it spins until the run's cycle
+    /// budget is exhausted, so an unsupervised `try_run` still
+    /// terminates (with `CycleBudgetExhausted`).
     pub hang: bool,
     /// Corrupt the request-latency accounting: every request completion
     /// cycle is recorded `k` cycles late (the request *runs* unchanged —

@@ -201,9 +201,9 @@ pub enum SimError {
         /// Per-core state at the stop, for slow-progress diagnosis.
         cores: Vec<CoreStuck>,
     },
-    /// A supervisor fired this run's cancellation token (per-cell
-    /// watchdog deadline) and the run loop unwound cooperatively at its
-    /// next poll point.
+    /// This run's cancellation deadline (the per-cell sweep deadline)
+    /// passed and the run loop unwound cooperatively at its next poll
+    /// point.
     DeadlineExceeded {
         /// Simulated cycle at which the cancellation was observed.
         cycle: u64,

@@ -47,10 +47,10 @@ pub enum ThermalError {
         /// Where the non-finite value was seen.
         context: &'static str,
     },
-    /// A supervisor fired this solve's cancellation token (per-cell
-    /// watchdog deadline, see `tlp_obs::cancel`) and the fixpoint loop
-    /// abandoned the solve at its next iteration boundary. Never
-    /// retried: the watchdog has already declared the cell overrunning.
+    /// This solve's cancellation deadline (the per-cell sweep deadline,
+    /// see `tlp_obs::cancel`) passed and the fixpoint loop abandoned the
+    /// solve at its next iteration boundary. Never retried: the cell has
+    /// already overrun its deadline.
     DeadlineExceeded {
         /// Iterations performed before the cancellation was observed.
         iterations: u32,

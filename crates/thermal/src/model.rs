@@ -278,8 +278,8 @@ impl ThermalModel {
         let mut prev_delta = f64::INFINITY;
         let mut growth_streak = 0u32;
         for iter in 1..=opts.max_iterations {
-            // Watchdog poll: a fired cancellation token (per-cell sweep
-            // deadline) abandons the solve at an iteration boundary.
+            // Deadline poll: a passed cancellation deadline (per-cell
+            // sweep deadline) abandons the solve at an iteration boundary.
             if tlp_obs::cancel::cancelled() {
                 return Err(ThermalError::DeadlineExceeded {
                     iterations: iter - 1,

@@ -305,12 +305,12 @@ fn three_abandoned_executions_quarantine_the_cell_on_resume() {
 #[test]
 fn watchdog_deadline_turns_a_hung_cell_into_a_typed_failure() {
     let plan = FaultPlan::none().inject_work(WorkloadId::App(AppId::WaterNsq), 2, Fault::Hang);
-    let report = chip()
+    let (report, trace) = chip()
         .sweep()
         .grid(spec(vec![AppId::WaterNsq], vec![1, 2]))
         .faults(plan)
         .cell_deadline(Duration::from_millis(100))
-        .run()
+        .run_traced()
         .unwrap();
 
     let failed: Vec<_> = report.failed().collect();
@@ -327,6 +327,8 @@ fn watchdog_deadline_turns_a_hung_cell_into_a_typed_failure() {
     );
     // The healthy cell still completed: the pool kept draining.
     assert_eq!(report.completed().count(), 1);
+    // One cell settled as failed past its deadline: one cancellation.
+    assert_eq!(trace.counter("sweep.deadline_cancellations"), Some(1));
 }
 
 #[test]
