@@ -15,9 +15,8 @@
 //! When the TDP term binds, `1 − ⌊A/a⌋·a/A` of the die is unusable area
 //! slack and the rest of the gap is genuinely *dark* — paid for in area
 //! but unpowerable. [`BudgetSpec`] carries the two budget axes through
-//! the sweep grid; the per-core `a`/`p` inputs come either from measured
-//! sweep cells (power per core, tile area) or from the 45 nm
-//! performance→area/power fits below.
+//! the sweep grid; the per-core `a`/`p` inputs come from measured sweep
+//! cells (power per core, tile area).
 
 use crate::error::AnalyticError;
 
@@ -109,38 +108,16 @@ pub struct BudgetedChip {
     pub dark_silicon_ratio: f64,
 }
 
-/// 45 nm performance→area fit (mm² per core, Charm symmetric model):
-/// `a = 0.0152·P² + 0.0265·P + 7.4393`.
-pub fn area_for_performance_45nm(perf: f64) -> f64 {
-    0.0152 * perf * perf + 0.0265 * perf + 7.4393
-}
-
-/// 45 nm performance→power fit (watts per core, Charm symmetric model):
-/// `p = 0.0002·P³ + 0.0009·P² + 0.3859·P − 0.0301`.
-pub fn power_for_performance_45nm(perf: f64) -> f64 {
-    0.0002 * perf.powi(3) + 0.0009 * perf * perf + 0.3859 * perf - 0.0301
-}
-
-/// Amdahl speedup of the budgeted symmetric chip: per-core performance
-/// `perf`, parallel fraction `f_parallel`, `n` powered cores —
-/// `1 / ((1−F)/P + F/(P·N))`.
-pub fn amdahl_speedup(f_parallel: f64, perf: f64, n: usize) -> f64 {
-    let serial = (1.0 - f_parallel) / perf;
-    let parallel = f_parallel / (perf * n as f64);
-    1.0 / (serial + parallel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn reference_budget_with_charm_fits() {
-        // The Charm study's pinned point: perf 36 at 45 nm.
-        let a = area_for_performance_45nm(36.0);
-        let p = power_for_performance_45nm(36.0);
-        assert!((a - 28.0925).abs() < 1e-9);
-        assert!((p - 24.3599).abs() < 1e-4);
+        // The Charm study's pinned point: perf 36 at 45 nm, whose fits
+        // give a = 0.0152·36² + 0.0265·36 + 7.4393 mm² and
+        // p = 0.0002·36³ + 0.0009·36² + 0.3859·36 − 0.0301 W per core.
+        let (a, p) = (28.0925, 24.3599);
         let chip = BudgetSpec::REFERENCE.fit(a, p).unwrap();
         // Area admits 3 cores, power admits 5: area-limited here.
         assert_eq!(chip.n_cores, 3);
@@ -184,29 +161,5 @@ mod tests {
         // A core bigger than the die: nothing fits.
         let err = BudgetSpec::REFERENCE.fit(200.0, 1.0).unwrap_err();
         assert!(matches!(err, AnalyticError::InvalidCoreCount { n: 0, .. }));
-    }
-
-    #[test]
-    fn amdahl_speedup_matches_closed_form() {
-        // Perfect parallelism: speedup = P·N.
-        assert!((amdahl_speedup(1.0, 2.0, 8) - 16.0).abs() < 1e-12);
-        // Serial-only: speedup = P.
-        assert!((amdahl_speedup(0.0, 2.0, 8) - 2.0).abs() < 1e-12);
-        // 90% parallel on 4 cores at P=1: 1/(0.1 + 0.225).
-        assert!((amdahl_speedup(0.9, 1.0, 4) - 1.0 / 0.325).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fits_are_monotone_in_performance() {
-        let mut prev_a = 0.0;
-        let mut prev_p = f64::MIN;
-        for perf in 1..50 {
-            let a = area_for_performance_45nm(perf as f64);
-            let p = power_for_performance_45nm(perf as f64);
-            assert!(a > prev_a);
-            assert!(p > prev_p);
-            prev_a = a;
-            prev_p = p;
-        }
     }
 }

@@ -6,8 +6,6 @@
 //! core count `N`; this module provides the standard shapes plus measured
 //! tables.
 
-use tlp_tech::linalg::least_squares;
-
 use crate::error::AnalyticError;
 
 /// A nominal parallel-efficiency curve `εn(N)`.
@@ -91,21 +89,6 @@ impl EfficiencyCurve {
         Ok(EfficiencyCurve::Table(points))
     }
 
-    /// Builds a table curve from measured speedups `S(N)`
-    /// (`εn(N) = S(N)/N`).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`EfficiencyCurve::table`].
-    pub fn from_speedups(points: Vec<(usize, f64)>) -> Result<Self, AnalyticError> {
-        Self::table(
-            points
-                .into_iter()
-                .map(|(n, s)| (n, if n == 0 { s } else { s / n as f64 }))
-                .collect(),
-        )
-    }
-
     /// Evaluates `εn(N)`.
     ///
     /// # Errors
@@ -172,69 +155,6 @@ impl EfficiencyCurve {
                 Ok(e0 + (e1 - e0) * (x - x0) / (x1 - x0))
             }
         }
-    }
-
-    /// Fits Amdahl's law to measured `(N, εn)` points by least squares on
-    /// the linearized form `1/S = s + (1−s)/N`, returning the fitted
-    /// serial fraction curve. Useful for extrapolating a profiled curve
-    /// beyond the measured core counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalyticError::InvalidEfficiency`] if fewer than two
-    /// points are given, any is invalid, or the fitted serial fraction
-    /// falls outside `[0, 1]` (the data is not Amdahl-shaped).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use tlp_analytic::EfficiencyCurve;
-    ///
-    /// // Data generated from s = 0.1 exactly:
-    /// let pts: Vec<(usize, f64)> = [2usize, 4, 8, 16]
-    ///     .iter()
-    ///     .map(|&n| (n, 1.0 / (0.1 * n as f64 + 0.9)))
-    ///     .collect();
-    /// let curve = EfficiencyCurve::fit_amdahl(&pts)?;
-    /// assert!((curve.at(32)? - 1.0 / (0.1 * 32.0 + 0.9)).abs() < 1e-9);
-    /// # Ok::<(), tlp_analytic::AnalyticError>(())
-    /// ```
-    pub fn fit_amdahl(points: &[(usize, f64)]) -> Result<Self, AnalyticError> {
-        if points.len() < 2 {
-            return Err(AnalyticError::InvalidEfficiency {
-                value: f64::NAN,
-                reason: "need at least two points to fit Amdahl's law",
-            });
-        }
-        let mut design = Vec::with_capacity(points.len() * 2);
-        let mut target = Vec::with_capacity(points.len());
-        for &(n, e) in points {
-            if n == 0 || !(e > 0.0 && e <= 2.0) {
-                return Err(AnalyticError::InvalidEfficiency {
-                    value: e,
-                    reason: "invalid point for Amdahl fit",
-                });
-            }
-            // 1/S = s·(1 − 1/N) + 1/N  ⇒  (1/S − 1/N) = s·(1 − 1/N).
-            let inv_n = 1.0 / n as f64;
-            let inv_s = 1.0 / (n as f64 * e);
-            design.extend_from_slice(&[1.0 - inv_n]);
-            target.push(inv_s - inv_n);
-        }
-        let c = least_squares(points.len(), 1, &design, &target).map_err(|_| {
-            AnalyticError::InvalidEfficiency {
-                value: f64::NAN,
-                reason: "degenerate Amdahl fit (all points at N = 1?)",
-            }
-        })?;
-        let s = c[0];
-        if !(0.0..=1.0).contains(&s) {
-            return Err(AnalyticError::InvalidEfficiency {
-                value: s,
-                reason: "fitted serial fraction outside [0, 1]",
-            });
-        }
-        Ok(EfficiencyCurve::Amdahl { serial_fraction: s })
     }
 
     /// The speedup implied at `N` cores with no frequency scaling:
@@ -311,13 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn from_speedups_divides_by_n() {
-        let c = EfficiencyCurve::from_speedups(vec![(2, 1.8), (4, 3.0)]).unwrap();
-        assert!((c.at(2).unwrap() - 0.9).abs() < 1e-12);
-        assert!((c.at(4).unwrap() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
     fn superlinear_efficiency_within_bounds_is_allowed() {
         // The paper notes εn can exceed 1 (aggregate cache effects).
         let c = EfficiencyCurve::table(vec![(2, 1.1), (4, 1.05)]).unwrap();
@@ -327,47 +240,6 @@ mod tests {
     #[test]
     fn zero_cores_is_rejected() {
         assert!(EfficiencyCurve::Perfect.at(0).is_err());
-    }
-
-    #[test]
-    fn amdahl_fit_recovers_serial_fraction() {
-        let s_true = 0.07;
-        let pts: Vec<(usize, f64)> = [2usize, 4, 8, 16, 32]
-            .iter()
-            .map(|&n| (n, 1.0 / (s_true * n as f64 + (1.0 - s_true))))
-            .collect();
-        let curve = EfficiencyCurve::fit_amdahl(&pts).unwrap();
-        match curve {
-            EfficiencyCurve::Amdahl { serial_fraction } => {
-                assert!((serial_fraction - s_true).abs() < 1e-9);
-            }
-            other => panic!("unexpected curve {other:?}"),
-        }
-    }
-
-    #[test]
-    fn amdahl_fit_handles_noisy_data() {
-        // Perturb a true s = 0.1 curve; the fit must stay close.
-        let pts = vec![(2usize, 0.84), (4, 0.72), (8, 0.55), (16, 0.40)];
-        let curve = EfficiencyCurve::fit_amdahl(&pts).unwrap();
-        match curve {
-            EfficiencyCurve::Amdahl { serial_fraction } => {
-                assert!(
-                    (0.05..0.2).contains(&serial_fraction),
-                    "s = {serial_fraction}"
-                );
-            }
-            other => panic!("unexpected curve {other:?}"),
-        }
-    }
-
-    #[test]
-    fn amdahl_fit_rejects_bad_input() {
-        assert!(EfficiencyCurve::fit_amdahl(&[]).is_err());
-        assert!(EfficiencyCurve::fit_amdahl(&[(2, 0.9)]).is_err());
-        assert!(EfficiencyCurve::fit_amdahl(&[(2, 0.9), (4, -0.5)]).is_err());
-        // Superlinear everywhere ⇒ negative serial fraction ⇒ rejected.
-        assert!(EfficiencyCurve::fit_amdahl(&[(2, 1.3), (4, 1.5), (8, 1.8)]).is_err());
     }
 
     #[test]

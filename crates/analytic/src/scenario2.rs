@@ -88,20 +88,6 @@ impl<'a> Scenario2<'a> {
         self
     }
 
-    /// Creates a solver with an explicit budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the budget is not positive.
-    pub fn with_budget(chip: &'a AnalyticChip, budget: Watts) -> Self {
-        assert!(budget.as_f64() > 0.0, "budget must be positive");
-        Self {
-            chip,
-            budget,
-            coupling: ThermalCoupling::PinnedAtTmax,
-        }
-    }
-
     /// The power budget in force.
     pub fn budget(&self) -> Watts {
         self.budget
@@ -374,7 +360,11 @@ mod tests {
     #[test]
     fn generous_budget_removes_scaling() {
         let chip = chip130();
-        let s2 = Scenario2::with_budget(&chip, Watts::new(10_000.0));
+        let s2 = Scenario2 {
+            chip: &chip,
+            budget: Watts::new(10_000.0),
+            coupling: ThermalCoupling::PinnedAtTmax,
+        };
         let p = s2.solve(16, &EfficiencyCurve::Perfect).unwrap();
         assert_eq!(p.regime, ScalingRegime::Nominal);
         assert!((p.speedup - 16.0).abs() < 1e-9);

@@ -3,9 +3,9 @@
 //! [`fast_forward_identity`] pits the parked run loop of [`CmpSimulator`]
 //! (per-core parking plus the clock jump when every core is parked)
 //! against the cycle-stepped reference on randomized multi-threaded
-//! workloads: identical [`SimResult`]s, identical sample windows,
-//! identical error verdicts (deadlock diagnoses, exhausted budgets), down
-//! to the `Debug` rendering. The stepped loop is the executable
+//! workloads: identical [`SimResult`](tlp_sim::SimResult)s, identical
+//! sample windows, identical error verdicts (deadlock diagnoses,
+//! exhausted budgets), down to the `Debug` rendering. The stepped loop is the executable
 //! specification; the parked loop is the optimization under test.
 
 use tlp_sim::config::SleepPolicy;

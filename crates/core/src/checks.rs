@@ -670,7 +670,7 @@ const HTTP_TEMPLATES: [&str; 5] = [
 /// through truncation, byte flips, and appended garbage.
 #[derive(Debug, Clone)]
 pub struct HttpFuzzCase {
-    /// Index into [`HTTP_TEMPLATES`].
+    /// Index into the parser oracle's fixed table of template requests.
     pub template: usize,
     /// Cut point (reduced modulo the template length + 1; the full
     /// length means no truncation).

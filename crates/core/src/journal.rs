@@ -244,22 +244,17 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Fingerprint of everything that determines a sweep's outcomes: the
-/// grid (apps, core counts, scale, seed), the fault plan, and the retry
-/// policy. Two sweeps share a journal if and only if their fingerprints
-/// match.
-pub fn sweep_fingerprint(spec: &SweepSpec, plan: &FaultPlan, policy: &RetryPolicy) -> u64 {
-    sweep_fingerprint_ext(spec, plan, policy, None)
-}
-
-/// [`sweep_fingerprint`] extended with the chip's tag
-/// ([`tlp_sim::ChipSpec::chip_tag`]). `None` — a homogeneous chip —
-/// hashes the exact same string as before the tag existed, so every
-/// pre-heterogeneity journal still resumes; `Some(tag)` appends a
-/// `|chip:` component, so a heterogeneous sweep pointed at a homogeneous
-/// journal (or a different mix) fails with a typed
-/// [`JournalError::SpecMismatch`] instead of splicing rows measured on a
-/// different chip.
-pub fn sweep_fingerprint_ext(
+/// grid (apps, core counts, scale, seed), the fault plan, the retry
+/// policy and the chip's tag ([`tlp_sim::ChipSpec::chip_tag`]). Two
+/// sweeps share a journal if and only if their fingerprints match.
+///
+/// `None` — a homogeneous chip — hashes the exact same string as before
+/// the tag existed, so every pre-heterogeneity journal still resumes;
+/// `Some(tag)` appends a `|chip:` component, so a heterogeneous sweep
+/// pointed at a homogeneous journal (or a different mix) fails with a
+/// typed [`JournalError::SpecMismatch`] instead of splicing rows
+/// measured on a different chip.
+pub fn sweep_fingerprint(
     spec: &SweepSpec,
     plan: &FaultPlan,
     policy: &RetryPolicy,
@@ -506,7 +501,7 @@ impl Journal {
         policy: &RetryPolicy,
         chip_tag: Option<&str>,
     ) -> Result<Self, JournalError> {
-        let fingerprint = sweep_fingerprint_ext(spec, plan, policy, chip_tag);
+        let fingerprint = sweep_fingerprint(spec, plan, policy, chip_tag);
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -1101,7 +1096,7 @@ mod tests {
     #[test]
     fn fingerprint_covers_faults_and_policy() {
         let s = spec();
-        let base = sweep_fingerprint(&s, &FaultPlan::none(), &RetryPolicy::default());
+        let base = sweep_fingerprint(&s, &FaultPlan::none(), &RetryPolicy::default(), None);
         let faulted = sweep_fingerprint(
             &s,
             &FaultPlan::none().inject_work(
@@ -1110,13 +1105,14 @@ mod tests {
                 crate::sweep::Fault::NanPower,
             ),
             &RetryPolicy::default(),
+            None,
         );
-        let tighter = sweep_fingerprint(&s, &FaultPlan::none(), &RetryPolicy::no_retries());
+        let tighter = sweep_fingerprint(&s, &FaultPlan::none(), &RetryPolicy::no_retries(), None);
         assert_ne!(base, faulted);
         assert_ne!(base, tighter);
         assert_eq!(
             base,
-            sweep_fingerprint(&s, &FaultPlan::none(), &RetryPolicy::default())
+            sweep_fingerprint(&s, &FaultPlan::none(), &RetryPolicy::default(), None)
         );
     }
 
@@ -1127,15 +1123,14 @@ mod tests {
         let policy = RetryPolicy::default();
         // None must hash the exact pre-heterogeneity string: every
         // homogeneous journal on disk keeps resuming.
+        let homogeneous = sweep_fingerprint(&s, &plan, &policy, None);
         assert_eq!(
-            sweep_fingerprint(&s, &plan, &policy),
-            sweep_fingerprint_ext(&s, &plan, &policy, None)
+            homogeneous,
+            fnv64(format!("v{VERSION}|{s:?}|{plan:?}|{policy:?}").as_bytes())
         );
-        let big_little =
-            sweep_fingerprint_ext(&s, &plan, &policy, Some("big:4w4@1/1+little:12w2@1/2"));
-        let other_mix =
-            sweep_fingerprint_ext(&s, &plan, &policy, Some("big:8w4@1/1+little:8w2@1/2"));
-        assert_ne!(big_little, sweep_fingerprint(&s, &plan, &policy));
+        let big_little = sweep_fingerprint(&s, &plan, &policy, Some("big:4w4@1/1+little:12w2@1/2"));
+        let other_mix = sweep_fingerprint(&s, &plan, &policy, Some("big:8w4@1/1+little:8w2@1/2"));
+        assert_ne!(big_little, homogeneous);
         assert_ne!(big_little, other_mix);
     }
 

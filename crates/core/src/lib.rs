@@ -76,8 +76,8 @@ pub use governor::{ChipWide, Governor, ThermalAware};
 pub use journal::{Journal, JournalError, JournalMode, RecoveryReport};
 pub use profiling::{profile, EfficiencyProfile};
 pub use sweep::{
-    CellOutcome, Fault, FaultPlan, RetryPolicy, SweepBuilder, SweepCell, SweepOptions, SweepReport,
-    SweepSpec, SweepTiming, TraceSink,
+    CellOutcome, Fault, FaultPlan, RetryPolicy, SweepBuilder, SweepCell, SweepReport, SweepSpec,
+    SweepTiming, TraceSink,
 };
 pub use tlp_analytic::DIE_EDGE_MM;
 

@@ -21,14 +21,11 @@
 //!   ones, has finished. A panicking task takes its worker down but
 //!   still counts as finished (so the remaining workers drain and exit),
 //!   and [`run`] re-raises the panic once every worker has joined.
-//! - [`run_watched`] adds a per-task deadline: tasks spawned with
-//!   [`Pool::spawn_watched`] run with `start + deadline` installed as
-//!   their thread's [`tlp_obs::cancel`] deadline. Cancellation is
-//!   *cooperative* — the substrate loops (simulator stride checks,
-//!   thermal fixpoint iterations) poll the deadline and return a typed
-//!   `DeadlineExceeded` error once it has passed — so a hung cell
-//!   becomes an ordinary failed outcome while the pool keeps draining.
-//!   Nothing is ever killed mid-write, and no thread watches the clock.
+//!
+//! The pool has no notion of time: a task that must stop by a given
+//! instant (the sweep's cell task, the daemon's connection handler) arms
+//! [`tlp_obs::cancel`] itself as its first act, and disarms it when it
+//! ends.
 //!
 //! Scheduling order across several workers is *not* deterministic;
 //! users that need deterministic output (the sweep runner does — its
@@ -37,7 +34,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
 
 type Task<'scope> = Box<dyn FnOnce(&Pool<'scope>) + Send + 'scope>;
 
@@ -50,19 +46,16 @@ struct Queue<'scope> {
 }
 
 /// Handle through which running tasks spawn further tasks; created by
-/// [`run`] / [`run_watched`] and passed to every task.
+/// [`run`] and passed to every task.
 pub struct Pool<'scope> {
     queue: Mutex<Queue<'scope>>,
     /// Signalled when a task is queued and when `pending` reaches zero.
     wake: Condvar,
     workers: usize,
-    /// Deadline for watched tasks; `None` makes watched tasks run like
-    /// plain ones.
-    deadline: Option<Duration>,
 }
 
 impl<'scope> Pool<'scope> {
-    fn new(workers: usize, deadline: Option<Duration>) -> Self {
+    fn new(workers: usize) -> Self {
         Self {
             queue: Mutex::new(Queue {
                 tasks: VecDeque::new(),
@@ -70,13 +63,7 @@ impl<'scope> Pool<'scope> {
             }),
             wake: Condvar::new(),
             workers,
-            deadline,
         }
-    }
-
-    /// Number of workers serving this pool.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Enqueues a task. Callable both from outside the pool (seeding)
@@ -87,20 +74,6 @@ impl<'scope> Pool<'scope> {
         queue.tasks.push_back(Box::new(task));
         drop(queue);
         self.wake.notify_one();
-    }
-
-    /// Enqueues a task under the pool's deadline (a no-op distinction
-    /// under [`run`], which has none). Use only for tasks whose code
-    /// paths return typed errors on cancellation; a deadline passing
-    /// inside a panicking-API path would abort the pool.
-    pub fn spawn_watched(&self, task: impl FnOnce(&Pool<'scope>) + Send + 'scope) {
-        let Some(deadline) = self.deadline else {
-            return self.spawn(task);
-        };
-        self.spawn(move |p| {
-            let _deadline = tlp_obs::cancel::install(Instant::now() + deadline);
-            task(p);
-        });
     }
 
     /// Worker loop: run the newest queued task, park while the queue is
@@ -147,25 +120,7 @@ impl<'scope> Pool<'scope> {
 ///
 /// Re-raises the panic of any panicking task once the pool drains.
 pub fn run<'env>(workers: usize, seed: impl FnOnce(&Pool<'env>)) {
-    run_watched(workers, None, seed);
-}
-
-/// Like [`run`], plus a per-task deadline: a task spawned with
-/// [`Pool::spawn_watched`] runs with its start time plus `deadline`
-/// installed as its thread's cancellation deadline (see
-/// [`tlp_obs::cancel`]), turning a hung task into a typed
-/// `DeadlineExceeded` failure at the task's next cancellation poll
-/// after the deadline. `deadline: None` is exactly [`run`].
-///
-/// # Panics
-///
-/// Re-raises the panic of any panicking task once the pool drains.
-pub fn run_watched<'env>(
-    workers: usize,
-    deadline: Option<Duration>,
-    seed: impl FnOnce(&Pool<'env>),
-) {
-    let pool = Pool::new(workers.max(1), deadline);
+    let pool = Pool::new(workers.max(1));
     seed(&pool);
     // Workers record into the caller's trace capture, if it has one.
     let recording = tlp_obs::recording();
@@ -204,7 +159,8 @@ pub fn default_workers() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn runs_every_seeded_task() {
@@ -259,7 +215,7 @@ mod tests {
     fn zero_workers_clamps_to_one() {
         let hits = AtomicU64::new(0);
         run(0, |p| {
-            assert_eq!(p.workers(), 1);
+            assert_eq!(p.workers, 1);
             p.spawn(|_| {
                 hits.fetch_add(1, Ordering::SeqCst);
             });
@@ -296,7 +252,7 @@ mod tests {
         // Most workers never see work and must still shut down cleanly.
         let hits = AtomicU64::new(0);
         run(32, |p| {
-            assert_eq!(p.workers(), 32);
+            assert_eq!(p.workers, 32);
             for _ in 0..3 {
                 p.spawn(|_| {
                     hits.fetch_add(1, Ordering::SeqCst);
@@ -372,63 +328,5 @@ mod tests {
             });
         });
         assert_eq!(hits.load(Ordering::SeqCst), 16);
-    }
-
-    #[test]
-    fn watchdog_fires_only_watched_tasks_past_the_deadline() {
-        let watched_saw_cancel = AtomicBool::new(false);
-        let plain_saw_cancel = AtomicBool::new(false);
-        run_watched(2, Some(Duration::from_millis(20)), |p| {
-            p.spawn_watched(|_| {
-                let start = Instant::now();
-                while !tlp_obs::cancel::cancelled() {
-                    assert!(
-                        start.elapsed() < Duration::from_secs(10),
-                        "deadline never passed"
-                    );
-                    std::thread::yield_now();
-                }
-                watched_saw_cancel.store(true, Ordering::SeqCst);
-            });
-            p.spawn(|_| {
-                // A plain task outlives the deadline untouched: no
-                // deadline is ever installed for it.
-                std::thread::sleep(Duration::from_millis(60));
-                plain_saw_cancel.store(tlp_obs::cancel::cancelled(), Ordering::SeqCst);
-            });
-        });
-        assert!(watched_saw_cancel.load(Ordering::SeqCst));
-        assert!(!plain_saw_cancel.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn watched_tasks_without_a_deadline_run_plain() {
-        let hits = AtomicU64::new(0);
-        run(2, |p| {
-            p.spawn_watched(|_| {
-                assert!(!tlp_obs::cancel::cancelled());
-                hits.fetch_add(1, Ordering::SeqCst);
-            });
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn cancellation_tokens_are_per_task_not_sticky_on_the_worker() {
-        // After a cancelled watched task finishes, the next watched task
-        // on the same worker must get a fresh deadline.
-        run_watched(1, Some(Duration::from_millis(10)), |p| {
-            p.spawn_watched(|p| {
-                while !tlp_obs::cancel::cancelled() {
-                    std::thread::yield_now();
-                }
-                p.spawn_watched(|_| {
-                    assert!(
-                        !tlp_obs::cancel::cancelled(),
-                        "fresh task saw a stale passed deadline"
-                    );
-                });
-            });
-        });
     }
 }

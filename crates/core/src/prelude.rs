@@ -15,8 +15,8 @@ pub use crate::profiling::{profile, EfficiencyProfile};
 pub use crate::scenario1::{Scenario1Result, Scenario1Row};
 pub use crate::scenario2::{Scenario2Result, Scenario2Row};
 pub use crate::sweep::{
-    CellOutcome, Fault, FaultPlan, RetryPolicy, SweepBuilder, SweepCell, SweepOptions, SweepReport,
-    SweepSpec, SweepTiming, TraceSink, WorkloadId,
+    CellOutcome, Fault, FaultPlan, RetryPolicy, SweepBuilder, SweepCell, SweepReport, SweepSpec,
+    SweepTiming, TraceSink, WorkloadId,
 };
 pub use tlp_analytic::{BudgetSpec, BudgetedChip};
 pub use tlp_obs::Trace;

@@ -10,8 +10,8 @@
 //!
 //! Two clocks bound a read: a wall-clock deadline inside the parser
 //! (self-defense even when run standalone) and the [`tlp_obs::cancel`]
-//! deadline the serve pool installs for the connection's task, which
-//! passes at the same time measured from the task's start; the read
+//! deadline the connection handler installs as its first act, which
+//! passes at the same time measured from the handler's start; the read
 //! loop checks both between reads, so a stalled peer costs one timeout
 //! tick, never a worker.
 
@@ -146,7 +146,7 @@ impl std::fmt::Display for HttpParseError {
 impl std::error::Error for HttpParseError {}
 
 /// Reads from `stream` until `buf` satisfies `done`, enforcing the
-/// wall-clock deadline, the cancellation token, and a byte cap. `cap` is
+/// wall-clock deadline, the cancellation deadline, and a byte cap. `cap` is
 /// the most bytes `buf` may grow to before `over_cap` is returned.
 fn read_until(
     stream: &mut impl Read,

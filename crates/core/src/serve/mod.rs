@@ -38,8 +38,8 @@
 //! - **Untrusted input**: request head/header/body caps, a
 //!   recursion-limited JSON parse, and typed rejections — garbage bytes
 //!   get a `4xx`, never a panic ([`http`]).
-//! - **Slow-loris defense**: reads carry a wall-clock deadline *and* run
-//!   as watched pool tasks, under a [`tlp_obs::cancel`] deadline that
+//! - **Slow-loris defense**: reads carry a wall-clock deadline, and the
+//!   connection handler installs a [`tlp_obs::cancel`] deadline that
 //!   passes at the same time.
 //! - **Backpressure**: per-IP token buckets ([`middleware`]) answer
 //!   `429` + `Retry-After`; a bounded admission queue sheds submissions
@@ -368,7 +368,7 @@ impl Server {
         // slot here and /health stays answerable throughout.
         let workers = 1 + self.config.http_workers + self.config.max_active_jobs;
         let listener = &self.listener;
-        pool::run_watched(workers, Some(self.config.request_deadline), move |p| {
+        pool::run(workers, move |p| {
             pump(ctx, p);
             p.spawn(move |p| accept_loop(ctx, listener, p));
         });
@@ -399,7 +399,7 @@ impl Server {
 }
 
 /// Accepts connections until the drain flag rises, handing each off to
-/// a watched HTTP task.
+/// an HTTP task.
 fn accept_loop<'a>(ctx: Ctx<'a>, listener: &'a TcpListener, p: &Pool<'a>) {
     loop {
         if ctx.draining() {
@@ -408,7 +408,7 @@ fn accept_loop<'a>(ctx: Ctx<'a>, listener: &'a TcpListener, p: &Pool<'a>) {
         match listener.accept() {
             Ok((stream, peer)) => {
                 let ip = peer.ip();
-                p.spawn_watched(move |p| handle_connection(ctx, p, stream, ip));
+                p.spawn(move |p| handle_connection(ctx, p, stream, ip));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -422,10 +422,11 @@ fn accept_loop<'a>(ctx: Ctx<'a>, listener: &'a TcpListener, p: &Pool<'a>) {
     }
 }
 
-/// Serves one connection: read a capped request, dispatch, write the
-/// response, close.
+/// Serves one connection under the request deadline: read a capped
+/// request, dispatch, write the response, close.
 fn handle_connection<'a>(ctx: Ctx<'a>, p: &Pool<'a>, mut stream: TcpStream, ip: IpAddr) {
     let started = Instant::now();
+    let _deadline = tlp_obs::cancel::install(started + ctx.config.request_deadline);
     SERVE_HTTP_REQUESTS.incr();
     // Short read timeouts make every blocked read a poll point for the
     // parser's deadline and the task's cancellation deadline.

@@ -5,10 +5,11 @@
 //! [`ShardBoard`]: worker death mid-range (lease expiry and
 //! reassignment), duplicated segment uploads, delayed zombie uploads
 //! arriving after expiry, and torn transfers. Every fate is drawn from a
-//! seeded [`SplitMix64`] and time is a manual [`Clock`], so a chaos run
-//! is a pure function of `(spec, chaos_seed)` — the
-//! `shard-merge-identity` oracle replays it and demands the merged
-//! journal and report stay byte-identical to an undisturbed run.
+//! seeded [`SplitMix64`] and time is a manual
+//! [`Clock`](super::board::Clock), so a chaos run is a pure function of
+//! `(spec, chaos_seed)` — the `shard-merge-identity` oracle replays it
+//! and demands the merged journal and report stay byte-identical to an
+//! undisturbed run.
 
 use std::path::Path;
 
@@ -65,11 +66,11 @@ fn fate_for(rng: &mut SplitMix64) -> Fate {
 
 /// Drives `shard_id` on `board` to completion while injecting
 /// distribution-layer faults drawn from `chaos_seed`. `hands` must be
-/// the manual-[`Clock`] handle the board was opened with; `scratch_dir`
-/// holds throwaway worker journals.
+/// the handle of the manual [`Clock`](super::board::Clock) the board was
+/// opened with; `scratch_dir` holds throwaway worker journals.
 ///
 /// Progress is guaranteed: after a range has burned three faulted
-/// leases its next lease is forced [`Fate::Normal`], so the loop always
+/// leases its next lease is forced to a normal fate, so the loop always
 /// terminates (and an iteration cap turns any regression into an error
 /// instead of a hang).
 ///

@@ -24,9 +24,7 @@ use std::fmt;
 
 use tlp_tech::json::Json;
 
-use crate::journal::{
-    checked_records, fnv64, render_line, str_field, sweep_fingerprint_ext, Journal,
-};
+use crate::journal::{checked_records, fnv64, render_line, str_field, sweep_fingerprint, Journal};
 use crate::sweep::{FaultPlan, RetryPolicy, SweepSpec};
 
 use super::{subspec, WorkRange};
@@ -202,7 +200,7 @@ pub struct CanonicalSegment {
 /// (workers never inject faults — fault plans are a single-process
 /// testing instrument).
 pub fn range_fingerprint(spec: &SweepSpec, chip_tag: Option<&str>, range: WorkRange) -> u64 {
-    sweep_fingerprint_ext(
+    sweep_fingerprint(
         &subspec(spec, range),
         &FaultPlan::none(),
         &RetryPolicy::default(),

@@ -27,9 +27,8 @@
 //! fallible unit: retry the failures that retrying can fix, diagnose the
 //! ones it cannot, and keep going. That is what the sweep engine does:
 //!
-//! - Every cell yields a [`CellOutcome`]: a completed
-//!   [`Scenario1Row`](crate::scenario1::Scenario1Row) or a
-//!   `Failed { reason, attempts }` record carrying the full typed
+//! - Every cell yields a [`CellOutcome`]: a completed [`Scenario1Row`]
+//!   or a `Failed { reason, attempts }` record carrying the full typed
 //!   [`ExperimentError`] (a deadlock failure names the stuck barrier and
 //!   cores).
 //! - A [`RetryPolicy`] governs thermal non-convergence: each retry adds
@@ -67,7 +66,7 @@
 //! starts. Every cell writes into a pre-assigned slot and the report is
 //! reduced in request order, so the parallel output — [`CellOutcome`]
 //! sequence and JSON rendering — is byte-identical to a serial run
-//! ([`SweepOptions::threads`] = 1). Wall-clock timings are kept out of
+//! ([`SweepBuilder::threads`] at 1). Wall-clock timings are kept out of
 //! the deterministic payload in a separate [`SweepTiming`] record.
 //!
 //! # Crash safety: checkpoint, resume, watchdog, quarantine
@@ -84,8 +83,8 @@
 //!   the resumed report — including its JSON rendering — is
 //!   byte-identical to an uninterrupted run.
 //! - **Watchdog deadlines** ([`SweepBuilder::cell_deadline`]): a cell
-//!   runs with its start time plus the deadline installed as its
-//!   thread's cancellation deadline (see [`tlp_obs::cancel`]); the
+//!   task's first act is to install its start time plus the deadline as
+//!   its thread's cancellation deadline (see [`tlp_obs::cancel`]); the
 //!   simulator and thermal solver poll it and return typed
 //!   `DeadlineExceeded` errors once it has passed, so a hung cell
 //!   becomes an ordinary [`CellOutcome::Failed`] while the pool keeps
@@ -104,7 +103,7 @@
 //! [`ExperimentError::Interrupted`] with the progress so far.
 
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -263,7 +262,7 @@ pub enum Fault {
         thread: usize,
     },
     /// Spin the simulation forever — deterministically — until the
-    /// per-cell watchdog ([`SweepOptions::deadline`]) cancels it.
+    /// per-cell watchdog ([`SweepBuilder::cell_deadline`]) cancels it.
     /// Diagnosed as `SimError::DeadlineExceeded` (never retried).
     /// Without a watchdog the cell genuinely never finishes, so only
     /// arm this under a deadline.
@@ -410,11 +409,12 @@ impl RetryPolicy {
     /// The wait before 1-based `attempt`, for client-side retries of
     /// *transient* failures (a shard worker re-contacting its
     /// coordinator, not the in-process solver escalation of
-    /// [`options_for`]). Equal-jitter exponential backoff: the ceiling
-    /// for attempt `k` is `min(BACKOFF_CAP_MS, BACKOFF_BASE_MS ·
-    /// 2^(k−2))`, and the wait is uniformly drawn from the ceiling's
-    /// upper half so retries spread out without ever collapsing below
-    /// half the ladder rung. Attempt 1 is the initial try — no wait.
+    /// [`options_for`](Self::options_for)). Equal-jitter exponential
+    /// backoff: the ceiling for attempt `k` is `min(BACKOFF_CAP_MS,
+    /// BACKOFF_BASE_MS · 2^(k−2))`, and the wait is uniformly drawn from
+    /// the ceiling's upper half so retries spread out without ever
+    /// collapsing below half the ladder rung. Attempt 1 is the initial
+    /// try — no wait.
     ///
     /// The jitter is *deterministic*: it comes from a [`SplitMix64`]
     /// stream keyed on `(seed, attempt)`, so a given client seed always
@@ -432,39 +432,6 @@ impl RetryPolicy {
             SplitMix64::seed_from_u64(seed ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let jitter = rng.gen_range_u64(0..ceiling / 2 + 1);
         Duration::from_millis(ceiling / 2 + jitter)
-    }
-}
-
-/// How many worker threads a sweep uses, and the per-cell watchdog.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SweepOptions {
-    /// Worker threads for the cell fan-out. `0` (the default) means
-    /// [`std::thread::available_parallelism`]; `1` is fully serial.
-    /// Output is byte-identical at every setting.
-    pub threads: usize,
-    /// Per-cell watchdog deadline: a cell executing longer than this
-    /// fails with a typed `DeadlineExceeded` at its next cancellation
-    /// poll instead of hanging the sweep. `None` (the default) disables
-    /// the deadline.
-    pub deadline: Option<Duration>,
-}
-
-impl SweepOptions {
-    /// A fully serial configuration.
-    pub fn serial() -> Self {
-        Self {
-            threads: 1,
-            ..Self::default()
-        }
-    }
-
-    /// The worker count this configuration resolves to on this machine.
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            pool::default_workers()
-        } else {
-            self.threads
-        }
     }
 }
 
@@ -777,7 +744,9 @@ pub struct SweepBuilder<'c> {
     spec: SweepSpec,
     policy: RetryPolicy,
     plan: FaultPlan,
-    opts: SweepOptions,
+    /// Worker threads; `0` means [`pool::default_workers`].
+    threads: usize,
+    deadline: Option<Duration>,
     sink: TraceSink,
     journal: Option<(PathBuf, JournalMode)>,
     interrupt: Option<Arc<AtomicBool>>,
@@ -810,7 +779,8 @@ impl<'c> SweepBuilder<'c> {
             spec: SweepSpec::fig3(Vec::new(), Scale::Small, crate::cli_args::DEFAULT_SEED),
             policy: RetryPolicy::default(),
             plan: FaultPlan::none(),
-            opts: SweepOptions::default(),
+            threads: 0,
+            deadline: None,
             sink: TraceSink::none(),
             journal: None,
             interrupt: None,
@@ -900,7 +870,7 @@ impl<'c> SweepBuilder<'c> {
     /// Worker threads: `0` means all available hardware threads, `1` is
     /// fully serial. Output is byte-identical at every setting.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.opts.threads = threads;
+        self.threads = threads;
         self
     }
 
@@ -908,7 +878,7 @@ impl<'c> SweepBuilder<'c> {
     /// other options — notably a [`cell_deadline`](Self::cell_deadline)
     /// set earlier — untouched.
     pub fn serial(mut self) -> Self {
-        self.opts.threads = 1;
+        self.threads = 1;
         self
     }
 
@@ -941,7 +911,7 @@ impl<'c> SweepBuilder<'c> {
     /// cooperatively cancelled and fails with a typed `DeadlineExceeded`
     /// while the rest of the sweep keeps going.
     pub fn cell_deadline(mut self, deadline: Duration) -> Self {
-        self.opts.deadline = Some(deadline);
+        self.deadline = Some(deadline);
         self
     }
 
@@ -966,33 +936,10 @@ impl<'c> SweepBuilder<'c> {
     ///
     /// Panics if the core counts are empty or do not start at 1.
     pub fn run(self) -> Result<SweepReport, ExperimentError> {
-        let Self {
-            chip,
-            spec,
-            policy,
-            plan,
-            opts,
-            sink,
-            journal,
-            interrupt,
-            budget,
-        } = self;
-        let chip = chip.get();
-        let journal = journal.as_ref().map(|(p, m)| (p.as_path(), *m));
-        let interrupt = interrupt.as_deref();
-        if !sink.is_active() {
-            return sweep_engine(
-                chip, &spec, &policy, &plan, &opts, journal, interrupt, budget,
-            );
+        if !self.sink.is_active() {
+            return sweep_engine(&self);
         }
-        let (result, trace) = tlp_obs::capture(|| {
-            sweep_engine(
-                chip, &spec, &policy, &plan, &opts, journal, interrupt, budget,
-            )
-        });
-        let report = result?;
-        sink.emit(&trace)?;
-        Ok(report)
+        self.run_traced().map(|(report, _)| report)
     }
 
     /// Like [`SweepBuilder::run`], but always captures and also returns
@@ -1007,27 +954,9 @@ impl<'c> SweepBuilder<'c> {
     ///
     /// As for [`SweepBuilder::run`].
     pub fn run_traced(self) -> Result<(SweepReport, tlp_obs::Trace), ExperimentError> {
-        let Self {
-            chip,
-            spec,
-            policy,
-            plan,
-            opts,
-            sink,
-            journal,
-            interrupt,
-            budget,
-        } = self;
-        let chip = chip.get();
-        let journal = journal.as_ref().map(|(p, m)| (p.as_path(), *m));
-        let interrupt = interrupt.as_deref();
-        let (result, trace) = tlp_obs::capture(|| {
-            sweep_engine(
-                chip, &spec, &policy, &plan, &opts, journal, interrupt, budget,
-            )
-        });
+        let (result, trace) = tlp_obs::capture(|| sweep_engine(&self));
         let report = result?;
-        sink.emit(&trace)?;
+        self.sink.emit(&trace)?;
         Ok((report, trace))
     }
 }
@@ -1040,17 +969,6 @@ impl ExperimentalChip {
     }
 }
 
-/// The sweep engine proper: each application is profiled at nominal V/f
-/// over the spec's core counts; each (application, core count) cell is
-/// then re-simulated at its Eq. 7 iso-performance operating point and
-/// measured, as one fallible unit under `policy`, with any faults `plan`
-/// arms on it. A failure in one cell never aborts the sweep; it becomes
-/// that cell's [`CellOutcome::Failed`].
-///
-/// Execution is parallel (see the module docs) but the report is reduced
-/// in request order and every cell's computation is self-contained, so
-/// the outcome sequence — and its JSON rendering — is byte-identical for
-/// any thread count.
 /// The journal plus the first durability-layer error, shared across
 /// cell tasks. Journal failures are collected (first wins) rather than
 /// panicking a worker; the engine surfaces them once the pool drains.
@@ -1108,32 +1026,38 @@ fn quarantine_outcome(cell: &crate::journal::JournaledCell, replay_seed: u64) ->
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn sweep_engine(
-    chip: &ExperimentalChip,
-    spec: &SweepSpec,
-    policy: &RetryPolicy,
-    plan: &FaultPlan,
-    opts: &SweepOptions,
-    journal_at: Option<(&Path, JournalMode)>,
-    interrupt: Option<&AtomicBool>,
-    budget: Option<BudgetSpec>,
-) -> Result<SweepReport, ExperimentError> {
+/// The sweep engine proper: each application is profiled at nominal V/f
+/// over the spec's core counts; each (application, core count) cell is
+/// then re-simulated at its Eq. 7 iso-performance operating point and
+/// measured, as one fallible unit under the builder's retry policy, with
+/// any faults its fault plan arms on it. A failure in one cell never
+/// aborts the sweep; it becomes that cell's [`CellOutcome::Failed`].
+///
+/// Execution is parallel (see the module docs) but the report is reduced
+/// in request order and every cell's computation is self-contained, so
+/// the outcome sequence — and its JSON rendering — is byte-identical for
+/// any thread count.
+fn sweep_engine(b: &SweepBuilder<'_>) -> Result<SweepReport, ExperimentError> {
+    let (chip, spec, policy, plan) = (b.chip.get(), &b.spec, &b.policy, &b.plan);
+    let interrupt = b.interrupt.as_deref();
     let _span = tlp_obs::span("sweep.run");
     assert!(
         spec.core_counts.first() == Some(&1),
         "sweep core counts must start at 1"
     );
     let table = chip.dvfs();
-    let threads = opts.resolved_threads();
+    let threads = match b.threads {
+        0 => pool::default_workers(),
+        n => n,
+    };
     let n_counts = spec.core_counts.len();
     let works = spec.works();
     let total = works.len() * n_counts;
     let chip_tag = chip.spec().chip_tag();
 
-    let journal = match journal_at {
+    let journal = match &b.journal {
         Some((path, mode)) => {
-            let j = Journal::open_with_chip(path, mode, spec, plan, policy, chip_tag.as_deref())?;
+            let j = Journal::open_with_chip(path, *mode, spec, plan, policy, chip_tag.as_deref())?;
             Some(Mutex::new(JournalState {
                 journal: j,
                 error: None,
@@ -1154,6 +1078,7 @@ fn sweep_engine(
         table,
         journal,
         interrupt,
+        deadline: b.deadline,
         works: &works,
         slots: (0..total).map(|_| Mutex::new(None)).collect(),
         rows: works
@@ -1227,7 +1152,7 @@ fn sweep_engine(
     let start = Instant::now();
 
     let engine = &engine;
-    pool::run_watched(threads, opts.deadline, |p| {
+    pool::run(threads, |p| {
         // Per row with unsettled cells: one anchor task plus, for a batch
         // application, one profile task per unsettled count above 1. A
         // row whose every cell is settled needs neither.
@@ -1310,8 +1235,8 @@ fn sweep_engine(
             recovery,
         },
         chip: chip_tag,
-        budget: budget.map(|b| BudgetAxes {
-            spec: b,
+        budget: b.budget.map(|spec| BudgetAxes {
+            spec,
             core_area_mm2: chip.core_area_mm2(),
         }),
     })
@@ -1327,6 +1252,8 @@ struct Engine<'a> {
     table: &'a DvfsTable,
     journal: Option<&'a Mutex<JournalState>>,
     interrupt: Option<&'a AtomicBool>,
+    /// Per-cell watchdog deadline, installed by each cell task.
+    deadline: Option<Duration>,
     works: &'a [WorkloadId],
     /// One slot per cell, in request order. Tasks finish in arbitrary
     /// order; the deterministic reduction reads the slots in index order.
@@ -1500,9 +1427,9 @@ impl Engine<'_> {
     }
 
     /// Spawns cell (row `ai`, count index `ni`) at nominal efficiency
-    /// `eps`. Watched: the cell path returns typed errors once its
-    /// deadline passes (anchor and profile runs do not, which is why
-    /// they are spawned unwatched).
+    /// `eps`. The task's first act installs the cell deadline: the cell
+    /// path returns typed errors once it passes. Anchor and profile runs
+    /// call the panicking `chip.run`, so they run without one.
     fn spawn_cell<'s>(
         &'s self,
         p: &pool::Pool<'s>,
@@ -1511,7 +1438,10 @@ impl Engine<'_> {
         anchor: Arc<Anchor>,
         eps: f64,
     ) {
-        p.spawn_watched(move |_| {
+        p.spawn(move |_| {
+            let _deadline = self
+                .deadline
+                .map(|d| tlp_obs::cancel::install(Instant::now() + d));
             if interrupt_raised(self.interrupt) {
                 return;
             }
@@ -1694,10 +1624,10 @@ mod tests {
         assert_eq!(b.spec.core_counts, vec![1, 2, 4, 8, 16]);
         assert_eq!(b.spec.seed, 11);
         assert_eq!(b.policy.max_attempts, 1);
-        assert_eq!(b.opts.threads, 1);
+        assert_eq!(b.threads, 1);
         assert!(!b.sink.is_active());
         let b = b.threads(3).core_counts(vec![1, 2]);
-        assert_eq!(b.opts.threads, 3);
+        assert_eq!(b.threads, 3);
         assert_eq!(b.spec.core_counts, vec![1, 2]);
     }
 

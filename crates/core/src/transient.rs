@@ -45,14 +45,6 @@ impl TransientTrace {
             .map(|p| p.temperature)
             .fold(Celsius::new(f64::NEG_INFINITY), Celsius::max)
     }
-
-    /// Peak total power over the trace.
-    pub fn peak_power(&self) -> Watts {
-        self.points
-            .iter()
-            .map(|p| p.dynamic + p.static_)
-            .fold(Watts::ZERO, Watts::max)
-    }
 }
 
 /// Runs `programs` on the chip at `op`, sampling every `window_cycles`,

@@ -1,13 +1,14 @@
 //! Cooperative cancellation deadlines for long-running solves.
 //!
-//! The sweep engine's per-cell deadline (see `cmp_tlp::pool`) cannot
-//! kill a thread mid-solve — Rust has no safe thread cancellation — so
-//! overrun handling is cooperative: the pool [`install`]s a deadline
-//! before running a watched task, and the hot loops deep in the stack
-//! (the simulator's cycle loop, the thermal fixpoint iteration) *poll*
-//! it at safe points and unwind with a typed `DeadlineExceeded` error
-//! once it has passed. No other thread takes part: a deadline expires
-//! on its own.
+//! The sweep engine's per-cell deadline cannot kill a thread mid-solve —
+//! Rust has no safe thread cancellation — so overrun handling is
+//! cooperative: a task that runs under a deadline [`install`]s it as its
+//! first act (the sweep's cell task, the serve daemon's connection
+//! handler), and the loops that poll it (the simulator's cycle loop, the
+//! thermal fixpoint iteration, the HTTP reader, the long-poll) stop at
+//! safe points with a typed error once it has passed. The guard
+//! uninstalls it when the task ends, so a deadline never outlives its
+//! task. No other thread takes part: a deadline expires on its own.
 //!
 //! This module lives in `tlp-obs` because it sits at the base of the
 //! workspace DAG: both `tlp-sim` and `tlp-thermal` already depend on it,

@@ -8,8 +8,6 @@
 //! cycles execute real instructions and are charged like active cycles
 //! (spinning burns power, as in the paper).
 
-use std::collections::BTreeMap;
-
 use tlp_sim::config::CmpConfig;
 use tlp_sim::{CoreStats, SimResult};
 use tlp_tech::units::{Joules, Seconds, Volts, Watts};
@@ -113,29 +111,6 @@ impl DynamicBreakdown {
     /// Total chip dynamic power.
     pub fn total(&self) -> Watts {
         self.cores.iter().map(CoreDynamic::total).sum::<Watts>() + self.l2 + self.bus
-    }
-
-    /// Structure-level totals across cores (for reporting).
-    pub fn by_structure(&self) -> BTreeMap<&'static str, Watts> {
-        let mut m = BTreeMap::new();
-        let mut add = |k: &'static str, v: Watts| {
-            let e = m.entry(k).or_insert(Watts::ZERO);
-            *e += v;
-        };
-        for c in &self.cores {
-            add("clock", c.clock);
-            add("icache", c.icache);
-            add("dcache", c.dcache);
-            add("int_exec", c.int_exec);
-            add("fp_exec", c.fp_exec);
-            add("regfile", c.regfile);
-            add("issue", c.issue);
-            add("bpred", c.bpred);
-            add("lsq", c.lsq);
-        }
-        add("l2", self.l2);
-        add("bus", self.bus);
-        m
     }
 }
 
@@ -435,15 +410,6 @@ mod tests {
         // Every structure lands on its own block.
         let fp = tile.index_of("core0.fpexec").unwrap();
         assert_eq!(per_block[fp], core.fp_exec);
-    }
-
-    #[test]
-    fn by_structure_sums_to_total() {
-        let (cfg, r) = run_ops(vec![Op::Int { count: 8_000 }, Op::Fp { count: 2_000 }]);
-        let calc = PowerCalculator::new(&cfg);
-        let d = calc.dynamic(&r, Volts::new(1.1));
-        let sum: f64 = d.by_structure().values().map(|w| w.as_f64()).sum();
-        assert!((sum - d.total().as_f64()).abs() < 1e-9);
     }
 
     #[test]

@@ -48,19 +48,6 @@ pub struct ArrayEnergy {
 }
 
 impl ArrayEnergy {
-    /// Builds the model from an explicit capacitance pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either capacitance is negative.
-    pub fn from_capacitance(c_read: f64, c_write: f64) -> Self {
-        assert!(
-            c_read >= 0.0 && c_write >= 0.0,
-            "capacitance must be non-negative"
-        );
-        Self { c_read, c_write }
-    }
-
     /// Derives the per-access capacitances for a cache geometry.
     pub fn for_cache(cfg: &CacheConfig) -> Self {
         let sets = cfg.sets() as f64;
@@ -137,11 +124,5 @@ mod tests {
     fn writes_cheaper_than_reads_for_associative_arrays() {
         let a = ArrayEnergy::for_cache(&l1());
         assert!(a.write_energy(Volts::new(1.1)) < a.read_energy(Volts::new(1.1)));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_capacitance_rejected() {
-        let _ = ArrayEnergy::from_capacitance(-1.0, 0.0);
     }
 }

@@ -46,16 +46,6 @@ impl CacheStats {
     pub fn accesses(&self) -> u64 {
         self.hits + self.misses
     }
-
-    /// Miss ratio in `[0, 1]`; zero when no accesses occurred.
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.accesses();
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
 }
 
 /// What a fill evicted, if anything.
@@ -410,16 +400,6 @@ mod tests {
         assert_eq!(*c.stats(), before);
         let evicted = c.fill(0x800, Mesi::Exclusive);
         assert_eq!(evicted, Evicted::Clean { line_addr: 0x000 });
-    }
-
-    #[test]
-    fn miss_ratio() {
-        let mut c = small();
-        assert_eq!(c.stats().miss_ratio(), 0.0);
-        c.lookup(0x0);
-        c.fill(0x0, Mesi::Exclusive);
-        c.lookup(0x0);
-        assert!((c.stats().miss_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]

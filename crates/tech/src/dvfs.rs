@@ -143,26 +143,6 @@ impl DvfsTable {
         Ok(lo.voltage + (hi.voltage - lo.voltage) * frac)
     }
 
-    /// Largest table operating point whose frequency does not exceed `f`
-    /// (quantization to a discrete DVFS step).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TechError::FrequencyOutOfRange`] if `f` lies below the
-    /// lowest table frequency.
-    pub fn quantize_down(&self, f: Hertz) -> Result<OperatingPoint, TechError> {
-        if f < self.f_min() {
-            return Err(TechError::FrequencyOutOfRange {
-                requested: f,
-                max: self.f_max(),
-            });
-        }
-        let idx = self
-            .points
-            .partition_point(|p| p.frequency.as_f64() <= f.as_f64() + 1e-9);
-        Ok(self.points[idx - 1])
-    }
-
     /// The next table operating point strictly *below* frequency `f` —
     /// one DVFS rung down, the primitive a thermal-aware governor uses
     /// to back off an overheating domain. `None` when `f` is already at
@@ -263,16 +243,6 @@ mod tests {
         let t = table65();
         assert!(t.voltage_for(Hertz::from_mhz(100.0)).is_err());
         assert!(t.voltage_for(Hertz::from_ghz(3.4)).is_err());
-    }
-
-    #[test]
-    fn quantize_down_picks_floor_point() {
-        let t = table65();
-        let op = t.quantize_down(Hertz::from_mhz(2350.0)).unwrap();
-        assert!((op.frequency.as_mhz() - 2200.0).abs() < 1e-6);
-        let exact = t.quantize_down(Hertz::from_mhz(2400.0)).unwrap();
-        assert!((exact.frequency.as_mhz() - 2400.0).abs() < 1e-6);
-        assert!(t.quantize_down(Hertz::from_mhz(100.0)).is_err());
     }
 
     #[test]

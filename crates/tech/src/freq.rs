@@ -168,13 +168,6 @@ impl FrequencyModel {
         }
     }
 
-    /// Maximum frequency at the noise-margin voltage floor. Below this
-    /// frequency, scaling is frequency-only.
-    pub fn frequency_at_floor(&self) -> Hertz {
-        self.max_frequency_at(self.floor)
-            .expect("floor is validated to lie in (Vth, Vdd)")
-    }
-
     /// The noise-margin voltage floor.
     pub fn voltage_floor(&self) -> Volts {
         self.floor
@@ -243,7 +236,7 @@ mod tests {
     #[test]
     fn operating_point_clamps_at_floor() {
         let m = model65();
-        let f_floor = m.frequency_at_floor();
+        let f_floor = m.max_frequency_at(m.voltage_floor()).unwrap();
         let slow = Hertz::new(f_floor.as_f64() * 0.25);
         let op = m.operating_point_for(slow).unwrap();
         assert_eq!(op.voltage, m.voltage_floor());
@@ -263,7 +256,7 @@ mod tests {
         // At the Vmin = 3·Vth floor the attainable frequency should be a
         // nontrivial fraction of nominal — this drives the Fig. 2 plateau.
         let m = model65();
-        let ratio = m.frequency_at_floor() / Hertz::from_ghz(3.2);
+        let ratio = m.max_frequency_at(m.voltage_floor()).unwrap() / Hertz::from_ghz(3.2);
         assert!(ratio > 0.05 && ratio < 0.6, "floor ratio {ratio}");
     }
 

@@ -43,8 +43,7 @@ pub enum LinalgError {
         got: usize,
     },
     /// The matrix is numerically singular: some pivot, after partial
-    /// pivoting, fell below the scaled tolerance (see [`PIVOT_RTOL`]'s
-    /// documentation in the module source).
+    /// pivoting, fell below `1e-12 × max|aᵢⱼ|`.
     Singular {
         /// Dimension of the offending system.
         n: usize,

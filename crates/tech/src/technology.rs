@@ -198,21 +198,6 @@ impl Technology {
     pub fn leakage_physics(&self) -> &LeakagePhysics {
         &self.leakage
     }
-
-    /// Static share of total power at nominal V/f and `t_max`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let t65 = tlp_tech::Technology::itrs_65nm();
-    /// let t130 = tlp_tech::Technology::itrs_130nm();
-    /// assert!(t65.static_fraction_at_tmax() > t130.static_fraction_at_tmax());
-    /// ```
-    pub fn static_fraction_at_tmax(&self) -> f64 {
-        let s = self.p_static_core_at_tmax.as_f64();
-        let d = self.p_dynamic_core_nominal.as_f64();
-        s / (s + d)
-    }
 }
 
 /// Builder for custom [`Technology`] points.
@@ -434,8 +419,13 @@ mod tests {
 
     #[test]
     fn stock_130nm_has_lower_static_share_than_65nm() {
-        let s130 = Technology::itrs_130nm().static_fraction_at_tmax();
-        let s65 = Technology::itrs_65nm().static_fraction_at_tmax();
+        // Static share of total core power at nominal V/f and t_max.
+        let share = |t: Technology| {
+            let s = t.p_static_core_at_tmax().as_f64();
+            s / (s + t.p_dynamic_core_nominal().as_f64())
+        };
+        let s130 = share(Technology::itrs_130nm());
+        let s65 = share(Technology::itrs_65nm());
         assert!(s130 < s65, "130nm static share {s130} !< 65nm {s65}");
         assert!((0.15..0.30).contains(&s130));
         assert!((0.30..0.50).contains(&s65));

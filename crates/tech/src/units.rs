@@ -263,12 +263,6 @@ impl Seconds {
         Self::new(ns * 1e-9)
     }
 
-    /// Constructs a duration from microseconds.
-    #[inline]
-    pub fn from_us(us: f64) -> Self {
-        Self::new(us * 1e-6)
-    }
-
     /// Returns the duration in nanoseconds.
     #[inline]
     pub fn as_ns(self) -> f64 {
@@ -297,12 +291,6 @@ impl Celsius {
     #[inline]
     pub fn to_kelvin(self) -> f64 {
         self.as_f64() + CELSIUS_OFFSET
-    }
-
-    /// Converts a temperature expressed in kelvin to Celsius.
-    #[inline]
-    pub fn from_kelvin(kelvin: f64) -> Self {
-        Self::new(kelvin - CELSIUS_OFFSET)
     }
 
     /// Thermal voltage kT/q at this temperature, in volts.
@@ -356,7 +344,8 @@ impl Mul<Amperes> for Volts {
 /// ```
 /// use tlp_tech::units::{PowerDensity, SquareMillimeters, Watts};
 ///
-/// let d = PowerDensity::from_power(Watts::new(50.0), SquareMillimeters::new(100.0));
+/// let (power, area) = (Watts::new(50.0), SquareMillimeters::new(100.0));
+/// let d = PowerDensity::new(power.as_f64() / area.as_f64());
 /// assert!((d.as_w_per_mm2() - 0.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
@@ -367,17 +356,6 @@ impl PowerDensity {
     #[inline]
     pub const fn new(w_per_mm2: f64) -> Self {
         Self(w_per_mm2)
-    }
-
-    /// Creates a density from total power over an area.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `area` is not strictly positive.
-    #[inline]
-    pub fn from_power(power: Watts, area: SquareMillimeters) -> Self {
-        assert!(area.as_f64() > 0.0, "power density over non-positive area");
-        Self(power.as_f64() / area.as_f64())
     }
 
     /// Returns the density in W/mm².
@@ -421,12 +399,6 @@ mod tests {
         let mem = Seconds::from_ns(75.0);
         assert_eq!(mem.to_cycles_ceil(Hertz::from_ghz(3.2)), 240);
         assert_eq!(mem.to_cycles_ceil(Hertz::from_mhz(200.0)), 15);
-    }
-
-    #[test]
-    fn celsius_kelvin_round_trip() {
-        let t = Celsius::new(45.0);
-        assert!((Celsius::from_kelvin(t.to_kelvin()).as_f64() - 45.0).abs() < 1e-12);
     }
 
     #[test]
@@ -484,11 +456,5 @@ mod tests {
     fn display_includes_suffix() {
         assert_eq!(format!("{}", Volts::new(1.1)), "1.1 V");
         assert_eq!(format!("{}", PowerDensity::new(0.5)), "0.5 W/mm²");
-    }
-
-    #[test]
-    fn power_density_from_power() {
-        let d = PowerDensity::from_power(Watts::new(48.9), SquareMillimeters::new(244.5));
-        assert!((d.as_w_per_mm2() - 0.2).abs() < 1e-12);
     }
 }

@@ -3,8 +3,7 @@
 //! [`power_virus`] recreates the "compute-intensive microbenchmark" the
 //! paper uses to anchor Wattch's dynamic power against HotSpot's maximum
 //! operational power: maximum-IPC integer/FP mix with L1-resident
-//! accesses. [`memory_chaser`] is its opposite — a dependent pointer chase
-//! through a memory-sized region, useful for DVFS/memory-gap studies.
+//! accesses.
 
 use crate::framework::{AccessPattern, Kernel, PhaseSpec, SyntheticProgram};
 
@@ -54,43 +53,6 @@ pub fn power_virus(
     ))
 }
 
-/// Builds a memory-bound chaser: random reads over `region_bytes` (size it
-/// beyond the L2 to hit memory on nearly every access).
-pub fn memory_chaser(
-    thread: usize,
-    n_threads: usize,
-    items: u64,
-    region_bytes: u64,
-) -> Box<dyn tlp_sim::op::ThreadProgram> {
-    let kernel = Kernel {
-        int_per_item: 4,
-        fp_per_item: 0,
-        loads_per_item: 4,
-        stores_per_item: 0,
-        branches_per_item: 1,
-        mispredict_rate: 0.01,
-        load_pattern: AccessPattern::Random {
-            base: 0x4000_0000,
-            len: region_bytes,
-        },
-        store_pattern: AccessPattern::Streaming {
-            base: 0x10_0000 + thread as u64 * 0x1_0000,
-            len: 4096,
-            stride: 64,
-        },
-    };
-    Box::new(SyntheticProgram::new(
-        vec![PhaseSpec::Parallel {
-            total_items: items * n_threads as u64,
-            kernel,
-        }],
-        thread,
-        n_threads,
-        0.0,
-        0xFEED,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use tlp_sim::{CmpConfig, CmpSimulator};
@@ -107,21 +69,6 @@ mod tests {
             "stall {}",
             r.memory_stall_fraction()
         );
-    }
-
-    #[test]
-    fn memory_chaser_is_memory_bound() {
-        let r = CmpSimulator::new(
-            CmpConfig::ispass05(1),
-            vec![memory_chaser(0, 1, 800, 32 << 20)],
-        )
-        .run();
-        assert!(
-            r.memory_stall_fraction() > 0.5,
-            "stall fraction {}",
-            r.memory_stall_fraction()
-        );
-        assert!(r.ipc() < 1.0);
     }
 
     #[test]

@@ -4,23 +4,25 @@
 //! uninterrupted report byte-for-byte; journals from a different sweep
 //! are refused; repeatedly-lethal cells are quarantined so the sweep
 //! completes degraded instead of never; the per-cell watchdog turns a
-//! hung simulation into a typed failure; and a raised interrupt flag
+//! hung simulation into a typed failure, ends with its cell and never
+//! covers the anchor and profile runs; and a raised interrupt flag
 //! stops the run resumably.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use cmp_tlp::error::ExperimentError;
 use cmp_tlp::governor::Governor;
-use cmp_tlp::journal::{Journal, JournalError, JournalMode};
+use cmp_tlp::journal::{checked_records, Journal, JournalError, JournalMode};
 use cmp_tlp::sweep::{Fault, FaultPlan, RetryPolicy, SweepReport, SweepSpec, WorkloadId};
 use cmp_tlp::ExperimentalChip;
 use tlp_sim::{ChipSpec, SimError};
-use tlp_tech::json::ToJson;
+use tlp_tech::json::{Json, ToJson};
 use tlp_tech::units::Celsius;
 use tlp_tech::{DvfsTable, OperatingPoint};
+use tlp_thermal::ThermalError;
 use tlp_workloads::{AppId, Scale};
 
 const SEED: u64 = 0xC8A5;
@@ -329,6 +331,101 @@ fn watchdog_deadline_turns_a_hung_cell_into_a_typed_failure() {
     assert_eq!(report.completed().count(), 1);
     // One cell settled as failed past its deadline: one cancellation.
     assert_eq!(trace.counter("sweep.deadline_cancellations"), Some(1));
+}
+
+/// `(app@n, status)` of every outcome record in the journal at `path`,
+/// in the order the sweep settled the cells.
+fn settle_order(path: &Path) -> Vec<(String, String)> {
+    let (records, _) = checked_records(&std::fs::read_to_string(path).unwrap());
+    let field = |record: &Json, key: &str| match record {
+        Json::Obj(fields) => match fields.iter().find(|(k, _)| k == key) {
+            Some((_, Json::Str(s))) => s.clone(),
+            Some((_, Json::Num(x))) => x.to_string(),
+            _ => String::new(),
+        },
+        _ => String::new(),
+    };
+    records
+        .iter()
+        .filter(|r| field(r, "kind") == "outcome")
+        .map(|r| {
+            let cell = format!("{}@{}", field(r, "app"), field(r, "n"));
+            (cell, field(r, "status"))
+        })
+        .collect()
+}
+
+#[test]
+fn a_cell_deadline_does_not_outlive_its_cell() {
+    // One worker runs every task in turn, so each cell the journal
+    // settles after the hung one ran on the worker whose deadline had
+    // passed, as did the water-nsq row's anchor and profile runs. The
+    // last row seeded runs first, and its widest cell first of all.
+    let journal = TempJournal::new("deadline-scope");
+    let plan = FaultPlan::none().inject_work(WorkloadId::App(AppId::Fft), 4, Fault::Hang);
+    let report = chip()
+        .sweep()
+        .grid(spec(vec![AppId::WaterNsq, AppId::Fft], vec![1, 2, 4]))
+        .faults(plan)
+        .cell_deadline(Duration::from_millis(100))
+        .threads(1)
+        .checkpoint(&journal.0)
+        .run()
+        .unwrap();
+
+    let failed: Vec<_> = report.failed().collect();
+    assert_eq!(failed.len(), 1, "{}", report.summary());
+    assert!(
+        matches!(
+            failed[0].1,
+            ExperimentError::Sim(SimError::DeadlineExceeded { .. })
+        ),
+        "expected a deadline diagnosis, got: {}",
+        failed[0].1
+    );
+    let order = settle_order(&journal.0);
+    let hung = order
+        .iter()
+        .position(|(cell, _)| cell == "FFT@4")
+        .expect("the hung cell settles");
+    assert_eq!(order[hung].1, "failed");
+    let later = &order[hung + 1..];
+    assert!(
+        !later.is_empty(),
+        "no cell ran after the hung one: {order:?}"
+    );
+    for (cell, status) in later {
+        assert_eq!(status, "completed", "{cell} settled after the hung cell");
+    }
+}
+
+#[test]
+fn only_cells_run_under_the_cell_deadline() {
+    // A deadline shorter than any cell fails every cell with a typed
+    // deadline error. The anchor and profile runs call the panicking
+    // `chip.run`: had they run under it, the sweep would have panicked.
+    let report = chip()
+        .sweep()
+        .grid(spec(vec![AppId::WaterNsq, AppId::Fft], vec![1, 2, 4]))
+        .cell_deadline(Duration::from_micros(1))
+        .threads(2)
+        .run()
+        .unwrap();
+
+    assert_eq!(report.failed().count(), 6, "{}", report.summary());
+    for (cell, reason, attempts) in report.failed() {
+        assert!(
+            matches!(
+                reason,
+                ExperimentError::Sim(SimError::DeadlineExceeded { .. })
+                    | ExperimentError::Thermal(ThermalError::DeadlineExceeded { .. })
+            ),
+            "{}@{}: expected a deadline diagnosis, got: {reason}",
+            cell.work,
+            cell.n
+        );
+        assert_eq!(attempts, 1, "a cancelled cell must not be retried");
+    }
 }
 
 #[test]

@@ -2,7 +2,8 @@
 //! submit/poll/fetch with the report byte-identical to an in-process
 //! sweep (also for a core-mix + budget job), deterministic 429 shedding under a burst while `/health` stays
 //! responsive, oversized bodies rejected with 413, malformed requests
-//! answered 400 (never a panic), graceful drain via the shutdown flag,
+//! answered 400 (never a panic), a stalled request answered 408 at the
+//! request deadline, graceful drain via the shutdown flag,
 //! a long-poll answering at once a change made since the last answer,
 //! and a crashed-mid-run job (running state + truncated journal, the
 //! exact debris a `kill -9` leaves) resuming to a byte-identical report
@@ -233,6 +234,42 @@ fn malformed_requests_get_400_not_a_panic() {
 
     // After all that abuse the daemon still serves.
     assert_eq!(get(addr, "/health").status, 200);
+    server.stop();
+}
+
+#[test]
+fn a_stalled_request_is_answered_408_at_the_request_deadline() {
+    let dir = TempDir::new("slow-loris");
+    let mut config = test_config(&dir);
+    config.request_deadline = Duration::from_secs(1);
+    let server = Harness::start(config);
+    let addr = server.addr;
+
+    // A request line with no blank line after it, then silence.
+    let started = Instant::now();
+    let mut stalled = TcpStream::connect(addr).expect("connect");
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stalled.write_all(b"GET /health HTTP/1.1\r\n").unwrap();
+    stalled.flush().unwrap();
+
+    // The stalled connection holds one handler; another connection is
+    // still served meanwhile.
+    assert_eq!(get(addr, "/health").status, 200);
+
+    let mut bytes = Vec::new();
+    stalled.read_to_end(&mut bytes).expect("read the 408");
+    let elapsed = started.elapsed();
+    let text = String::from_utf8_lossy(&bytes);
+    assert!(
+        text.starts_with("HTTP/1.1 408 "),
+        "expected a 408, got {text:?}"
+    );
+    assert!(
+        (Duration::from_secs(1)..Duration::from_millis(2500)).contains(&elapsed),
+        "answered after {elapsed:?}, against a 1-s request deadline"
+    );
     server.stop();
 }
 
