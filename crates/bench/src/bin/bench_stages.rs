@@ -213,7 +213,7 @@ fn sweep_stage(violations: &mut Vec<String>) -> Json {
     let (report, trace) = tlp_obs::capture(|| {
         chip.sweep()
             .grid(spec)
-            .serial()
+            .threads(1)
             .run()
             .expect("bench sweep refused to start")
     });

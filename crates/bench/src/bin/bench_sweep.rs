@@ -40,7 +40,7 @@ fn main() {
     let serial = chip
         .sweep()
         .grid(spec.clone())
-        .serial()
+        .threads(1)
         .run()
         .expect("serial sweep");
     eprintln!("  serial   : {}", serial.timing.summary());

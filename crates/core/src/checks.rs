@@ -36,7 +36,6 @@
 //! (`latency-sanity`, `server-ff-identity`).
 
 use std::sync::OnceLock;
-use std::time::Duration;
 
 use tlp_analytic::{AnalyticChip, AnalyticError, Scenario1};
 use tlp_check::prop::Property;
@@ -230,7 +229,7 @@ fn sweep_check(c: &SweepCase) -> Result<(), String> {
         .grid(spec.clone())
         .retry_policy(policy)
         .faults(plan.clone())
-        .serial()
+        .threads(1)
         .run()
         .map_err(|e| format!("serial sweep refused to start: {e}"))?;
     let parallel = chip
@@ -347,7 +346,7 @@ fn resume_check(c: &ResumeCase) -> Result<(), String> {
             .grid(spec.clone())
             .retry_policy(policy)
             .faults(plan.clone())
-            .serial()
+            .threads(1)
     };
 
     let reference = configured()
@@ -455,7 +454,7 @@ fn hetero_identity_check(c: &SweepCase) -> Result<(), String> {
             .grid(spec.clone())
             .retry_policy(policy)
             .faults(plan.clone())
-            .serial()
+            .threads(1)
             .checkpoint(&path)
             .run()
             .map_err(|e| format!("sweep refused to start: {e}"))?;
@@ -761,13 +760,12 @@ fn http_fuzz_check(c: &HttpFuzzCase) -> Result<(), String> {
     bytes.extend_from_slice(&c.garbage);
 
     // Tight caps so limit paths (431/413) get exercised alongside the
-    // syntax paths; reading from a slice never blocks, so the deadline
-    // is irrelevant.
+    // syntax paths; reading from a slice never blocks, so no deadline
+    // is installed.
     let limits = HttpLimits {
         max_head_bytes: 512,
         max_headers: 8,
         max_body_bytes: 128,
-        deadline: Duration::from_secs(5),
     };
     let parsed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         read_request(&mut &bytes[..], &limits)
@@ -886,7 +884,7 @@ fn shard_merge_check(c: &ShardCase) -> Result<(), String> {
     let direct = chip
         .sweep()
         .grid(job.spec())
-        .serial()
+        .threads(1)
         .run()
         .map_err(|e| format!("direct sweep refused to start: {e}"))?
         .to_json()

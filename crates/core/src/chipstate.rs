@@ -20,7 +20,6 @@ use tlp_thermal::{FixpointOptions, ThermalModel};
 use tlp_workloads::micro::power_virus;
 
 use crate::error::ExperimentError;
-use crate::governor::{ChipWide, Governor};
 
 /// Measurement-stage fault injection (see `DESIGN.md`, "Failure model &
 /// fault injection").
@@ -105,7 +104,6 @@ pub struct ExperimentalChip {
     class_areas: Vec<f64>,
     /// The 200 MHz-step DVFS ladder of the technology.
     dvfs: DvfsTable,
-    governor: Box<dyn Governor>,
 }
 
 impl ExperimentalChip {
@@ -183,26 +181,12 @@ impl ExperimentalChip {
             class_tiles,
             class_areas,
             dvfs,
-            governor: Box::new(ChipWide),
         }
     }
 
     /// The chip specification this platform was built from.
     pub fn spec(&self) -> &ChipSpec {
         &self.spec
-    }
-
-    /// The installed DVFS governor (default: [`ChipWide`], the legacy
-    /// fixed-operating-point policy).
-    pub fn governor(&self) -> &dyn Governor {
-        self.governor.as_ref()
-    }
-
-    /// Installs a DVFS governor; consulted by the sweep engine after each
-    /// cell measurement.
-    pub fn with_governor(mut self, governor: Box<dyn Governor>) -> Self {
-        self.governor = governor;
-        self
     }
 
     /// Average per-core area of the die's core region, mm² — the `a`
@@ -565,16 +549,6 @@ mod tests {
         for t in &m.core_temps {
             assert!(t.as_f64() >= 45.0, "core at {t}");
         }
-    }
-
-    #[test]
-    fn default_governor_is_chip_wide_and_replaceable() {
-        let c = chip();
-        assert_eq!(c.governor().name(), "chip-wide");
-        let c = c.with_governor(Box::new(crate::governor::ThermalAware::new(Celsius::new(
-            90.0,
-        ))));
-        assert_eq!(c.governor().name(), "thermal-aware");
     }
 
     #[test]

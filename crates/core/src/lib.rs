@@ -54,7 +54,6 @@ pub mod chipstate;
 pub mod cli_args;
 pub mod energy;
 pub mod error;
-pub mod governor;
 pub mod journal;
 pub mod jsonout;
 pub mod pool;
@@ -72,7 +71,6 @@ pub use chipstate::{ChipMeasurement, ExperimentalChip, MeasureFaults};
 pub use error::{
     error_chain, CoreLimit, ExperimentError, InterruptInfo, TraceError, UnrunnableCell,
 };
-pub use governor::{ChipWide, Governor, ThermalAware};
 pub use journal::{Journal, JournalError, JournalMode, RecoveryReport};
 pub use profiling::{profile, EfficiencyProfile};
 pub use sweep::{

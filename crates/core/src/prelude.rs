@@ -10,7 +10,6 @@
 pub use crate::chipstate::{ChipMeasurement, ExperimentalChip, MeasureFaults};
 pub use crate::cli_args::{ChipArgs, CommonArgs, ScaleDefault, DEFAULT_SEED};
 pub use crate::error::{error_chain, ExperimentError, TraceError};
-pub use crate::governor::{ChipWide, Governor, ThermalAware};
 pub use crate::profiling::{profile, EfficiencyProfile};
 pub use crate::scenario1::{Scenario1Result, Scenario1Row};
 pub use crate::scenario2::{Scenario2Result, Scenario2Row};

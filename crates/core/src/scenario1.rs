@@ -185,8 +185,8 @@ pub fn try_run(
 
 /// Runs Scenario I for each of `apps` over `core_counts` (ascending,
 /// starting at 1) as one [`crate::sweep`] on the default thread count,
-/// so each row is the sweep cell's — retries and the chip's governor
-/// included — and the result is the same for any thread count. Counts
+/// so each row is the sweep cell's — retries included — and the result
+/// is the same for any thread count. Counts
 /// an application cannot run are skipped, as in the paper's "missing
 /// bars" (the counts [`crate::profiling::profile`] skips); the other
 /// rows come back in count order, one series per application in
@@ -238,37 +238,12 @@ pub fn try_run_apps(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::governor::ThermalAware;
     use tlp_sim::ChipSpec;
-    use tlp_tech::units::Celsius;
     use tlp_tech::Technology;
 
     fn run_app(app: AppId, counts: &[usize]) -> Scenario1Result {
         let chip = ExperimentalChip::from_spec(ChipSpec::ispass05(16), Technology::itrs_65nm());
         run(&chip, app, counts, Scale::Test, 13)
-    }
-
-    #[test]
-    fn rows_follow_the_chip_governor() {
-        // A 45 °C governor throttles FMM below its Eq. 7 points; the
-        // Scenario I rows must be the sweep's governed rows, not a
-        // second, ungoverned computation.
-        let chip = ExperimentalChip::from_spec(ChipSpec::ispass05(16), Technology::itrs_65nm())
-            .with_governor(Box::new(ThermalAware::new(Celsius::new(45.0))));
-        let counts = [1, 2, 4, 8];
-        let r = try_run(&chip, AppId::Fmm, &counts, Scale::Test, 13).unwrap();
-        let sweep = chip
-            .sweep()
-            .workloads(vec![WorkloadId::App(AppId::Fmm)])
-            .core_counts(counts.to_vec())
-            .scale(Scale::Test)
-            .seed(13)
-            .serial()
-            .run()
-            .unwrap();
-        let rows: Vec<_> = sweep.completed().map(|(_, row)| row.clone()).collect();
-        assert_eq!(rows.len(), counts.len());
-        assert_eq!(format!("{:?}", r.rows), format!("{rows:?}"));
     }
 
     #[test]

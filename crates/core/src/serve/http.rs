@@ -8,15 +8,13 @@
 //! slow-loris or an unbounded body never accumulates memory or time
 //! beyond the caps.
 //!
-//! Two clocks bound a read: a wall-clock deadline inside the parser
-//! (self-defense even when run standalone) and the [`tlp_obs::cancel`]
-//! deadline the connection handler installs as its first act, which
-//! passes at the same time measured from the handler's start; the read
-//! loop checks both between reads, so a stalled peer costs one timeout
-//! tick, never a worker.
+//! One clock bounds a read: the [`tlp_obs::cancel`] deadline the caller
+//! installs before reading (the connection handler does so as its first
+//! act). The read loop checks it between reads, so a stalled peer costs
+//! one timeout tick, never a worker. A caller that installs none reads
+//! without a time bound.
 
 use std::io::Read;
-use std::time::{Duration, Instant};
 
 /// Hard caps on one HTTP request. Every field is enforced during the
 /// read, not after it.
@@ -28,8 +26,6 @@ pub struct HttpLimits {
     pub max_headers: usize,
     /// Maximum `Content-Length` / body size, bytes.
     pub max_body_bytes: usize,
-    /// Wall-clock budget for reading the complete request.
-    pub deadline: Duration,
 }
 
 impl Default for HttpLimits {
@@ -38,7 +34,6 @@ impl Default for HttpLimits {
             max_head_bytes: 16 * 1024,
             max_headers: 64,
             max_body_bytes: 1024 * 1024,
-            deadline: Duration::from_secs(10),
         }
     }
 }
@@ -94,8 +89,8 @@ pub enum HttpParseError {
     BadContentLength,
     /// The peer closed the connection before a full request arrived.
     ConnectionClosed,
-    /// The read exceeded [`HttpLimits::deadline`] (slow-loris defense),
-    /// or the task's cancellation deadline passed.
+    /// The cancellation deadline the caller installed passed before the
+    /// request was complete (slow-loris defense).
     Timeout,
     /// The socket failed outright (reset, broken pipe, …).
     Io(String),
@@ -146,13 +141,11 @@ impl std::fmt::Display for HttpParseError {
 impl std::error::Error for HttpParseError {}
 
 /// Reads from `stream` until `buf` satisfies `done`, enforcing the
-/// wall-clock deadline, the cancellation deadline, and a byte cap. `cap` is
-/// the most bytes `buf` may grow to before `over_cap` is returned.
+/// cancellation deadline and a byte cap. `cap` is the most bytes `buf`
+/// may grow to before `over_cap` is returned.
 fn read_until(
     stream: &mut impl Read,
     buf: &mut Vec<u8>,
-    started: Instant,
-    limits: &HttpLimits,
     cap: usize,
     over_cap: &HttpParseError,
     done: impl Fn(&[u8]) -> bool,
@@ -162,7 +155,7 @@ fn read_until(
         if buf.len() > cap {
             return Err(over_cap.clone());
         }
-        if started.elapsed() > limits.deadline || tlp_obs::cancel::cancelled() {
+        if tlp_obs::cancel::cancelled() {
             return Err(HttpParseError::Timeout);
         }
         match stream.read(&mut chunk) {
@@ -177,7 +170,7 @@ fn read_until(
                 ) =>
             {
                 // A socket read timeout is the poll tick: loop back to
-                // the deadline and cancellation checks above.
+                // the cancellation check above.
                 continue;
             }
             Err(e) => return Err(HttpParseError::Io(e.to_string())),
@@ -205,13 +198,10 @@ pub fn read_request(
     stream: &mut impl Read,
     limits: &HttpLimits,
 ) -> Result<Request, HttpParseError> {
-    let started = Instant::now();
     let mut buf = Vec::with_capacity(1024);
     read_until(
         stream,
         &mut buf,
-        started,
-        limits,
         limits.max_head_bytes,
         &HttpParseError::HeadTooLarge {
             limit: limits.max_head_bytes,
@@ -271,8 +261,6 @@ pub fn read_request(
     read_until(
         stream,
         &mut buf,
-        started,
-        limits,
         total,
         // Only reachable via a peer sending more than it declared; the
         // declared length itself was already checked against the cap.

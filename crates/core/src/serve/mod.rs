@@ -38,9 +38,9 @@
 //! - **Untrusted input**: request head/header/body caps, a
 //!   recursion-limited JSON parse, and typed rejections — garbage bytes
 //!   get a `4xx`, never a panic ([`http`]).
-//! - **Slow-loris defense**: reads carry a wall-clock deadline, and the
-//!   connection handler installs a [`tlp_obs::cancel`] deadline that
-//!   passes at the same time.
+//! - **Slow-loris defense**: the connection handler installs a
+//!   [`tlp_obs::cancel`] deadline as its first act, and the request read
+//!   stops once it passes.
 //! - **Backpressure**: per-IP token buckets ([`middleware`]) answer
 //!   `429` + `Retry-After`; a bounded admission queue sheds submissions
 //!   the same way instead of queueing without bound.
@@ -429,12 +429,11 @@ fn handle_connection<'a>(ctx: Ctx<'a>, p: &Pool<'a>, mut stream: TcpStream, ip: 
     let _deadline = tlp_obs::cancel::install(started + ctx.config.request_deadline);
     SERVE_HTTP_REQUESTS.incr();
     // Short read timeouts make every blocked read a poll point for the
-    // parser's deadline and the task's cancellation deadline.
+    // task's cancellation deadline.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let _ = stream.set_write_timeout(Some(ctx.config.request_deadline));
     let limits = HttpLimits {
         max_body_bytes: ctx.config.max_body_bytes,
-        deadline: ctx.config.request_deadline,
         ..HttpLimits::default()
     };
     let response = match http::read_request(&mut stream, &limits) {

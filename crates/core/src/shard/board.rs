@@ -743,7 +743,7 @@ impl ShardBoard {
         // every cell splices, so this only reassembles the report — and
         // it does so byte-identically to an uninterrupted run (pinned by
         // the shard-merge-identity oracle).
-        let builder = st.rec.job.sweep(chip).serial().resume(&journal);
+        let builder = st.rec.job.sweep(chip).threads(1).resume(&journal);
         let report = builder.run().map_err(|e| ShardError::Report {
             chain: error_chain(&e),
         })?;
@@ -991,7 +991,7 @@ mod tests {
         chip()
             .sweep()
             .grid(super::super::subspec(&grant.job.spec(), grant.range))
-            .serial()
+            .threads(1)
             .checkpoint(&path)
             .run()
             .expect("test-scale sweep");
@@ -1030,7 +1030,7 @@ mod tests {
         let direct = chip
             .sweep()
             .grid(job(0x11).spec())
-            .serial()
+            .threads(1)
             .run()
             .unwrap()
             .to_json();

@@ -223,7 +223,7 @@ mod tests {
         let direct = chip
             .sweep()
             .grid(job.spec())
-            .serial()
+            .threads(1)
             .run()
             .unwrap()
             .to_json();

@@ -470,7 +470,7 @@ mod tests {
         chip()
             .sweep()
             .grid(subspec(&spec(), range))
-            .serial()
+            .threads(1)
             .checkpoint(&s.0)
             .run()
             .expect("test-scale sweep");

@@ -190,16 +190,12 @@ pub fn compute_segment(
 ) -> Result<String, String> {
     // The budget rides along: it decorates the report but never touches
     // journal bytes or the spec fingerprint.
-    let builder = job
+    // `.threads(0)` would mean every CPU: a worker asked for 0 runs serial.
+    let report = job
         .sweep(chip)
         .grid(subspec(&job.spec(), range))
-        .checkpoint(journal_path);
-    let builder = if threads <= 1 {
-        builder.serial()
-    } else {
-        builder.threads(threads)
-    };
-    let report = builder
+        .checkpoint(journal_path)
+        .threads(threads.max(1))
         .run()
         .map_err(|e| format!("worker sweep failed: {}", error_chain(&e).join(": ")))?;
     for (cell, outcome) in &report.cells {

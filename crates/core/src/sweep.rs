@@ -42,7 +42,8 @@
 //! The sweep cell is the one place a Scenario I row is computed:
 //! [`scenario1::run`](crate::scenario1::run) is a one-row sweep and
 //! [`scenario1::try_run_apps`](crate::scenario1::try_run_apps) one
-//! sweep over many applications.
+//! sweep over many applications. A cell runs at the Eq. 7 chip-wide
+//! operating point and is measured once.
 //!
 //! Fault injection for testing the machinery lives in [`FaultPlan`]:
 //! deterministic, per-cell faults covering every failure mode the
@@ -111,7 +112,7 @@ use std::time::{Duration, Instant};
 use tlp_analytic::BudgetSpec;
 use tlp_sim::{ChipSpec, SimError, SimFaults, SimResult};
 use tlp_tech::rng::SplitMix64;
-use tlp_tech::{DvfsTable, OperatingPoint};
+use tlp_tech::OperatingPoint;
 use tlp_thermal::{FixpointOptions, ThermalError};
 use tlp_workloads::{gang, AppId, Scale, ServerSpec};
 
@@ -287,8 +288,10 @@ impl FaultPlan {
 
     /// Arms `fault` on the (`work`, `n`) cell — batch applications via
     /// [`WorkloadId::App`], server loads via [`WorkloadId::Server`].
-    /// Multiple faults may target the same cell. (The old app-only
-    /// `inject` shim is gone; wrap the app in `WorkloadId::App`.)
+    /// Multiple faults may target the same cell. A simulation fault on
+    /// n = 1 fails the row's anchor run, so it fails every cell of the
+    /// row. (The old app-only `inject` shim is gone; wrap the app in
+    /// `WorkloadId::App`.)
     pub fn inject_work(mut self, work: WorkloadId, n: usize, fault: Fault) -> Self {
         self.faults.push((SweepCell { work, n }, fault));
         self
@@ -640,7 +643,6 @@ impl SweepReport {
 struct Anchor {
     baseline: SimResult,
     base_measure: ChipMeasurement,
-    base_attempts: u32,
 }
 
 /// One row's join point in the profile/cell task graph. A batch cell
@@ -874,14 +876,6 @@ impl<'c> SweepBuilder<'c> {
         self
     }
 
-    /// Fully serial execution (equivalent to `.threads(1)`). Leaves the
-    /// other options — notably a [`cell_deadline`](Self::cell_deadline)
-    /// set earlier — untouched.
-    pub fn serial(mut self) -> Self {
-        self.threads = 1;
-        self
-    }
-
     /// Trace sink; an active sink turns the recorder on for the run.
     pub fn trace(mut self, sink: TraceSink) -> Self {
         self.sink = sink;
@@ -1045,7 +1039,6 @@ fn sweep_engine(b: &SweepBuilder<'_>) -> Result<SweepReport, ExperimentError> {
         spec.core_counts.first() == Some(&1),
         "sweep core counts must start at 1"
     );
-    let table = chip.dvfs();
     let threads = match b.threads {
         0 => pool::default_workers(),
         n => n,
@@ -1070,12 +1063,16 @@ fn sweep_engine(b: &SweepBuilder<'_>) -> Result<SweepReport, ExperimentError> {
         .map(|state| state.lock().expect("journal poisoned").journal.recovery)
         .filter(|r| !r.created);
 
+    let tech = chip.tech();
     let engine = Engine {
         chip,
         spec,
         policy,
         plan,
-        table,
+        nominal: OperatingPoint {
+            frequency: tech.f_nominal(),
+            voltage: tech.vdd_nominal(),
+        },
         journal,
         interrupt,
         deadline: b.deadline,
@@ -1169,9 +1166,9 @@ fn sweep_engine(b: &SweepBuilder<'_>) -> Result<SweepReport, ExperimentError> {
                 .filter(|&ni| spec.core_counts[ni] > 1)
                 .collect();
             p.spawn(move |p| engine.anchor_task(p, ai, pending));
-            if let WorkloadId::App(app) = work {
+            if let WorkloadId::App(_) = work {
                 for ni in profiled {
-                    p.spawn(move |p| engine.profile_task(p, ai, ni, app));
+                    p.spawn(move |p| engine.profile_task(p, ai, ni));
                 }
             }
         }
@@ -1249,7 +1246,9 @@ struct Engine<'a> {
     spec: &'a SweepSpec,
     policy: &'a RetryPolicy,
     plan: &'a FaultPlan,
-    table: &'a DvfsTable,
+    /// The technology's nominal point: the V/f of every anchor and
+    /// profile run, and Eq. 7's single-core frequency f1.
+    nominal: OperatingPoint,
     journal: Option<&'a Mutex<JournalState>>,
     interrupt: Option<&'a AtomicBool>,
     /// Per-cell watchdog deadline, installed by each cell task.
@@ -1349,43 +1348,28 @@ impl Engine<'_> {
         }
     }
 
-    /// Builds the row's [`Anchor`]. A batch application's single-core
-    /// run is its n = 1 profile run; the open-loop server workload runs
-    /// its single-thread gang once at nominal V/f (its arrival process is
-    /// anchored to wall-clock offered load, so the gang is rebuilt per
-    /// operating point later).
+    /// Builds the row's [`Anchor`]: the single-thread run at the nominal
+    /// point, armed with the simulation faults of the row's n = 1 cell,
+    /// then its supervised measurement. A batch application's anchor run
+    /// is also its n = 1 profile run.
     fn prepare_anchor(&self, work: WorkloadId) -> Result<Anchor, (ExperimentError, u32)> {
-        let (chip, spec, plan) = (self.chip, self.spec, self.plan);
+        let (chip, plan, nominal) = (self.chip, self.plan, self.nominal);
         let base_cell = SweepCell { work, n: 1 };
-        let tech = chip.tech();
-        let baseline = match work {
-            WorkloadId::App(app) => {
-                let _span = tlp_obs::span_with("profile", || format!("{work}@1"));
-                chip.run(
-                    gang(app, 1, spec.scale, spec.seed),
-                    chip.config().operating_point,
-                )
-            }
-            WorkloadId::Server { rps } => {
-                let nominal = OperatingPoint {
-                    frequency: tech.f_nominal(),
-                    voltage: tech.vdd_nominal(),
-                };
-                let server = ServerSpec::standard(rps, spec.scale);
-                chip.try_run_with(
-                    server.gang(1, spec.seed, nominal.frequency),
-                    nominal,
-                    plan.sim_faults_for(base_cell),
-                )
-                .map_err(|e| (e, 1))?
-            }
+        let baseline = {
+            let _span = tlp_obs::span_with("profile", || format!("{work}@1"));
+            chip.try_run_with(
+                self.gang_at(work, 1, nominal),
+                nominal,
+                plan.sim_faults_for(base_cell),
+            )
+            .map_err(|e| (e, 1))?
         };
-        let (base_measure, base_attempts) = {
+        let (base_measure, _) = {
             let _span = tlp_obs::span_with("sweep.baseline", || work.name());
             supervise(self.policy, |opts| {
                 chip.try_measure_with(
                     &baseline,
-                    tech.vdd_nominal(),
+                    nominal.voltage,
                     opts,
                     &plan.measure_faults_for(base_cell),
                 )
@@ -1394,24 +1378,20 @@ impl Engine<'_> {
         Ok(Anchor {
             baseline,
             base_measure,
-            base_attempts,
         })
     }
 
     /// One nominal-V/f profile run of a batch application on
     /// `core_counts[ni]` cores; spawns the cell if the anchor is in.
-    fn profile_task<'s>(&'s self, p: &pool::Pool<'s>, ai: usize, ni: usize, app: AppId) {
+    fn profile_task<'s>(&'s self, p: &pool::Pool<'s>, ai: usize, ni: usize) {
         if interrupt_raised(self.interrupt) {
             return;
         }
-        let (spec, work, n) = (self.spec, self.works[ai], self.spec.core_counts[ni]);
+        let (work, n) = (self.works[ai], self.spec.core_counts[ni]);
         let tn = {
             let _span = tlp_obs::span_with("profile", || format!("{work}@{n}"));
             self.chip
-                .run(
-                    gang(app, n, spec.scale, spec.seed),
-                    self.chip.config().operating_point,
-                )
+                .run(self.gang_at(work, n, self.nominal), self.nominal)
                 .execution_time()
                 .as_f64()
         };
@@ -1426,10 +1406,29 @@ impl Engine<'_> {
         }
     }
 
+    /// The gang of `work` on `n` cores at `op`: every run the engine
+    /// simulates. A server gang is rebuilt per operating point because
+    /// its arrival process is pinned to wall-clock offered load.
+    fn gang_at(
+        &self,
+        work: WorkloadId,
+        n: usize,
+        op: OperatingPoint,
+    ) -> Vec<Box<dyn tlp_sim::op::ThreadProgram>> {
+        let (scale, seed) = (self.spec.scale, self.spec.seed);
+        match work {
+            WorkloadId::App(app) => gang(app, n, scale, seed),
+            WorkloadId::Server { rps } => {
+                ServerSpec::standard(rps, scale).gang(n, seed, op.frequency)
+            }
+        }
+    }
+
     /// Spawns cell (row `ai`, count index `ni`) at nominal efficiency
     /// `eps`. The task's first act installs the cell deadline: the cell
-    /// path returns typed errors once it passes. Anchor and profile runs
-    /// call the panicking `chip.run`, so they run without one.
+    /// path returns typed errors once it passes. The anchor and profile
+    /// runs, which a row's cells share, run without one; the profile
+    /// runs call the panicking `chip.run`.
     fn spawn_cell<'s>(
         &'s self,
         p: &pool::Pool<'s>,
@@ -1457,68 +1456,30 @@ impl Engine<'_> {
 }
 
 /// One supervised cell: simulate at the Eq. 7 iso-performance operating
-/// point for nominal efficiency `eps`, measure under the retry policy,
-/// and let the chip's governor move the point. Self-contained and
-/// deterministic — the outcome depends only on the arguments, never on
-/// scheduling.
+/// point for nominal efficiency `eps` (the n = 1 cell reuses the anchor's
+/// nominal run), then measure once under the retry policy. Only the
+/// thermal solve is retried: the simulator is deterministic, so running
+/// it again cannot change anything. Self-contained and deterministic —
+/// the outcome depends only on the arguments, never on scheduling.
 fn run_cell(e: &Engine<'_>, anchor: &Anchor, work: WorkloadId, n: usize, eps: f64) -> CellOutcome {
-    let (chip, spec, policy, plan, table) = (e.chip, e.spec, e.policy, e.plan, e.table);
-    let tech = chip.tech();
+    let (chip, plan, nominal) = (e.chip, e.plan, e.nominal);
     let cell = SweepCell { work, n };
-    let f1 = tech.f_nominal();
-    let nominal = OperatingPoint {
-        frequency: f1,
-        voltage: tech.vdd_nominal(),
-    };
-    let base_power = anchor.base_measure.total();
-    let base_density = anchor.base_measure.power_density;
-    let base_time = anchor.baseline.execution_time();
-
-    // Each operating point is simulated once; only the thermal solve is
-    // retried (the simulator is deterministic, so re-running it cannot
-    // change anything).
-    let run_at = |op: OperatingPoint| {
-        let gang = match work {
-            WorkloadId::App(app) => gang(app, n, spec.scale, spec.seed),
-            // The arrival process is pinned to wall-clock offered
-            // load, so the gang depends on the cell's own clock.
-            WorkloadId::Server { rps } => {
-                ServerSpec::standard(rps, spec.scale).gang(n, spec.seed, op.frequency)
-            }
-        };
-        chip.try_run_with(gang, op, plan.sim_faults_for(cell))
-    };
-
+    let base = &anchor.base_measure;
     let outcome = (|| -> Result<(Scenario1Row, u32, u32), (ExperimentError, u32)> {
-        let (mut op, mut result) = if n == 1 {
-            (nominal, anchor.baseline.clone())
+        let run;
+        let (op, result) = if n == 1 {
+            (nominal, &anchor.baseline)
         } else {
-            let op = operating_point_for(table, f1, n, eps).map_err(|e| (e, 1))?;
-            (op, run_at(op).map_err(|e| (e, 1))?)
+            let op =
+                operating_point_for(chip.dvfs(), nominal.frequency, n, eps).map_err(|e| (e, 1))?;
+            run = chip
+                .try_run_with(e.gang_at(work, n, op), op, plan.sim_faults_for(cell))
+                .map_err(|e| (e, 1))?;
+            (op, &run)
         };
-        // The governor closes the loop on the thermal evidence: measure
-        // → adjust the operating point → re-run → re-measure, at most
-        // three adjustments so a ringing policy cannot iterate forever.
-        // The default chip-wide governor never adjusts, so its cells
-        // settle after the first measurement.
-        let mut attempts = 0;
-        let mut adjustments = 0;
-        let m = loop {
-            let (m, a) = supervise(policy, |opts| {
-                chip.try_measure_with(&result, op.voltage, opts, &plan.measure_faults_for(cell))
-            })
-            .map_err(|(e, a)| (e, attempts + a))?;
-            attempts += a;
-            if adjustments == 3 {
-                break m;
-            }
-            let Some(next) = chip.governor().adjust(&m.core_temps, table, op) else {
-                break m;
-            };
-            adjustments += 1;
-            op = next;
-            result = run_at(op).map_err(|e| (e, attempts))?;
-        };
+        let (m, attempts) = supervise(e.policy, |opts| {
+            chip.try_measure_with(result, op.voltage, opts, &plan.measure_faults_for(cell))
+        })?;
         let requests = match (work, &result.requests) {
             (WorkloadId::Server { rps }, Some(stats)) => Some(RequestSummary::from_stats(
                 stats,
@@ -1533,15 +1494,16 @@ fn run_cell(e: &Engine<'_>, anchor: &Anchor, work: WorkloadId, n: usize, eps: f6
             Scenario1Row {
                 n,
                 nominal_efficiency: eps,
-                actual_speedup: base_time / result.execution_time(),
+                actual_speedup: anchor.baseline.execution_time() / result.execution_time(),
                 power_watts: m.total().as_f64(),
-                normalized_power: m.total() / base_power,
-                normalized_density: m.power_density.as_w_per_mm2() / base_density.as_w_per_mm2(),
+                normalized_power: m.total() / base.total(),
+                normalized_density: m.power_density.as_w_per_mm2()
+                    / base.power_density.as_w_per_mm2(),
                 temperature_c: m.avg_core_temp().as_f64(),
                 operating_point: op,
                 requests,
             },
-            attempts.max(if n == 1 { anchor.base_attempts } else { 1 }),
+            attempts,
             m.fixpoint_iterations,
         ))
     })();
@@ -1619,7 +1581,7 @@ mod tests {
             .scale(Scale::Test)
             .seed(11)
             .retry_policy(RetryPolicy::no_retries())
-            .serial();
+            .threads(1);
         assert_eq!(b.spec.apps, vec![AppId::Fft]);
         assert_eq!(b.spec.core_counts, vec![1, 2, 4, 8, 16]);
         assert_eq!(b.spec.seed, 11);
@@ -1658,7 +1620,7 @@ mod tests {
                 area_mm2: 200.0,
                 tdp_watts: 125.0,
             })
-            .serial()
+            .threads(1)
             .run()
             .unwrap();
         assert_eq!(r.chip.as_deref(), Some("big:1w4@1/1+little:1w2@1/2"));
@@ -1675,7 +1637,7 @@ mod tests {
         let r = chip()
             .sweep()
             .grid(spec(vec![AppId::WaterNsq]))
-            .serial()
+            .threads(1)
             .run()
             .unwrap();
         assert_eq!(r.chip, None);
@@ -1685,44 +1647,11 @@ mod tests {
     }
 
     #[test]
-    fn thermal_governor_throttles_hot_cells_below_eq7_frequency() {
-        // A threshold below any plausible die temperature forces the
-        // governor to step down on every adjust call; the bounded loop
-        // must settle and the row must record the throttled point.
-        let hot = ExperimentalChip::from_spec(ChipSpec::ispass05(16), Technology::itrs_65nm())
-            .with_governor(Box::new(crate::governor::ThermalAware {
-                threshold: tlp_tech::units::Celsius::new(10.0),
-            }));
-        let baseline = chip()
-            .sweep()
-            .grid(spec(vec![AppId::WaterNsq]))
-            .serial()
-            .run()
-            .unwrap();
-        let throttled = hot
-            .sweep()
-            .grid(spec(vec![AppId::WaterNsq]))
-            .serial()
-            .run()
-            .unwrap();
-        let f_of = |r: &SweepReport, n: usize| {
-            r.completed()
-                .find(|(c, _)| c.n == n)
-                .map(|(_, row)| row.operating_point.frequency.as_f64())
-                .expect("cell completed")
-        };
-        assert!(
-            f_of(&throttled, 2) < f_of(&baseline, 2),
-            "governor must throttle below the Eq. 7 point"
-        );
-    }
-
-    #[test]
     fn traced_run_captures_spans_and_counters() {
         let (r, trace) = chip()
             .sweep()
             .grid(spec(vec![AppId::WaterNsq]))
-            .serial()
+            .threads(1)
             .run_traced()
             .unwrap();
         assert_eq!(r.completed().count(), 2);
@@ -1758,7 +1687,7 @@ mod tests {
         let clean = chip()
             .sweep()
             .grid(grid(vec![1, 2, 4]))
-            .serial()
+            .threads(1)
             .run()
             .unwrap();
         let row = |r: &SweepReport, n: usize| {
@@ -1798,7 +1727,7 @@ mod tests {
         let r = chip()
             .sweep()
             .grid(grid(vec![1, 3]))
-            .serial()
+            .threads(1)
             .run()
             .unwrap();
         assert_eq!(
@@ -1808,7 +1737,7 @@ mod tests {
         let mut servers = spec(Vec::new());
         servers.server_loads = vec![5_000_000];
         servers.core_counts = vec![1, 17];
-        let r = chip().sweep().grid(servers).serial().run().unwrap();
+        let r = chip().sweep().grid(servers).threads(1).run().unwrap();
         assert_eq!(
             r.failed().next().unwrap().1.to_string(),
             "core count not runnable: server-5000000 on 17 cores exceeds the chip's 16 cores"
@@ -2105,7 +2034,7 @@ mod tests {
     fn server_rows_carry_request_summaries_and_batch_rows_do_not() {
         let mut grid = spec(vec![AppId::WaterNsq]);
         grid.server_loads = vec![5_000_000];
-        let r = chip().sweep().grid(grid).serial().run().unwrap();
+        let r = chip().sweep().grid(grid).threads(1).run().unwrap();
         assert_eq!(r.cells.len(), 4);
         assert!(
             r.cells.iter().all(|(_, o)| o.is_completed()),
@@ -2143,6 +2072,41 @@ mod tests {
     }
 
     #[test]
+    fn a_simulation_fault_on_the_single_core_cell_fails_the_whole_row() {
+        // The n = 1 cell's simulation is the row's anchor run, which every
+        // cell of the row normalizes by: a batch row and a server row alike
+        // fail both cells with the anchor's diagnosis.
+        for work in [
+            WorkloadId::App(AppId::Fft),
+            WorkloadId::Server { rps: 5_000_000 },
+        ] {
+            let plan = FaultPlan::none().inject_work(work, 1, Fault::CycleBudget(500));
+            let r = chip()
+                .sweep()
+                .workloads(vec![work])
+                .core_counts(vec![1, 2])
+                .scale(Scale::Test)
+                .seed(7)
+                .faults(plan)
+                .threads(1)
+                .run()
+                .unwrap();
+            let failed: Vec<_> = r.failed().collect();
+            assert_eq!(failed.len(), 2, "{work}: {}", r.summary());
+            for (cell, reason, attempts) in failed {
+                assert!(
+                    matches!(
+                        reason,
+                        ExperimentError::Sim(SimError::CycleBudgetExhausted { .. })
+                    ),
+                    "{cell}: {reason}"
+                );
+                assert_eq!(attempts, 1, "{cell}");
+            }
+        }
+    }
+
+    #[test]
     fn server_cells_respect_injected_faults() {
         let mut grid = spec(Vec::new());
         grid.server_loads = vec![5_000_000];
@@ -2152,7 +2116,7 @@ mod tests {
             .sweep()
             .grid(grid)
             .faults(plan)
-            .serial()
+            .threads(1)
             .run()
             .unwrap();
         let failed: Vec<_> = r.failed().collect();

@@ -143,17 +143,6 @@ impl DvfsTable {
         Ok(lo.voltage + (hi.voltage - lo.voltage) * frac)
     }
 
-    /// The next table operating point strictly *below* frequency `f` —
-    /// one DVFS rung down, the primitive a thermal-aware governor uses
-    /// to back off an overheating domain. `None` when `f` is already at
-    /// or below the lowest rung.
-    pub fn step_down(&self, f: Hertz) -> Option<OperatingPoint> {
-        let idx = self
-            .points
-            .partition_point(|p| p.frequency.as_f64() < f.as_f64() - 1e-9);
-        idx.checked_sub(1).map(|i| self.points[i])
-    }
-
     /// The supply voltage for `f`, with frequencies outside the table
     /// range clamped to the nearest end point — the per-domain variant
     /// of [`DvfsTable::voltage_for`]: a clock domain geared below the
@@ -243,20 +232,6 @@ mod tests {
         let t = table65();
         assert!(t.voltage_for(Hertz::from_mhz(100.0)).is_err());
         assert!(t.voltage_for(Hertz::from_ghz(3.4)).is_err());
-    }
-
-    #[test]
-    fn step_down_walks_the_ladder() {
-        let t = table65();
-        // From an off-grid frequency: the rung below.
-        let op = t.step_down(Hertz::from_mhz(2350.0)).unwrap();
-        assert!((op.frequency.as_mhz() - 2200.0).abs() < 1e-6);
-        // From an exact rung: strictly the previous rung.
-        let op = t.step_down(Hertz::from_mhz(2200.0)).unwrap();
-        assert!((op.frequency.as_mhz() - 2000.0).abs() < 1e-6);
-        // The bottom rung has nowhere to go.
-        assert!(t.step_down(t.f_min()).is_none());
-        assert!(t.step_down(Hertz::from_mhz(100.0)).is_none());
     }
 
     #[test]

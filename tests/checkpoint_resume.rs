@@ -14,14 +14,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cmp_tlp::error::ExperimentError;
-use cmp_tlp::governor::Governor;
 use cmp_tlp::journal::{checked_records, Journal, JournalError, JournalMode};
 use cmp_tlp::sweep::{Fault, FaultPlan, RetryPolicy, SweepReport, SweepSpec, WorkloadId};
 use cmp_tlp::ExperimentalChip;
 use tlp_sim::{ChipSpec, SimError};
 use tlp_tech::json::{Json, ToJson};
-use tlp_tech::units::Celsius;
-use tlp_tech::{DvfsTable, OperatingPoint};
 use tlp_thermal::ThermalError;
 use tlp_workloads::{AppId, Scale};
 
@@ -78,7 +75,7 @@ fn killed_and_resumed_sweep_is_byte_identical_under_faults() {
         .sweep()
         .grid(spec(apps.clone(), counts.clone()))
         .faults(plan.clone())
-        .serial()
+        .threads(1)
         .run()
         .unwrap();
     let (ref_dbg, ref_json) = report_bytes(&reference);
@@ -88,7 +85,7 @@ fn killed_and_resumed_sweep_is_byte_identical_under_faults() {
         .sweep()
         .grid(spec(apps.clone(), counts.clone()))
         .faults(plan.clone())
-        .serial()
+        .threads(1)
         .checkpoint(&journal.0)
         .run()
         .unwrap();
@@ -105,7 +102,7 @@ fn killed_and_resumed_sweep_is_byte_identical_under_faults() {
         .sweep()
         .grid(spec(apps.clone(), counts.clone()))
         .faults(plan.clone())
-        .serial()
+        .threads(1)
         .resume(&journal.0)
         .run()
         .unwrap();
@@ -117,7 +114,7 @@ fn killed_and_resumed_sweep_is_byte_identical_under_faults() {
         .sweep()
         .grid(spec(apps, counts))
         .faults(plan)
-        .serial()
+        .threads(1)
         .resume(&journal.0)
         .run()
         .unwrap();
@@ -135,7 +132,7 @@ fn torn_and_corrupt_tails_are_dropped_with_a_warning_not_a_crash() {
     let full = chip()
         .sweep()
         .grid(spec(apps.clone(), counts.clone()))
-        .serial()
+        .threads(1)
         .checkpoint(&journal.0)
         .run()
         .unwrap();
@@ -176,7 +173,7 @@ fn torn_and_corrupt_tails_are_dropped_with_a_warning_not_a_crash() {
     let resumed = chip()
         .sweep()
         .grid(spec(apps, counts))
-        .serial()
+        .threads(1)
         .resume(&journal.0)
         .run()
         .unwrap();
@@ -189,7 +186,7 @@ fn resuming_a_different_sweep_is_refused_with_a_typed_error() {
     chip()
         .sweep()
         .grid(spec(vec![AppId::WaterNsq], vec![1, 2]))
-        .serial()
+        .threads(1)
         .checkpoint(&journal.0)
         .run()
         .unwrap();
@@ -198,7 +195,7 @@ fn resuming_a_different_sweep_is_refused_with_a_typed_error() {
     let err = chip()
         .sweep()
         .grid(spec(vec![AppId::Fft], vec![1, 2]))
-        .serial()
+        .threads(1)
         .resume(&journal.0)
         .run()
         .unwrap_err();
@@ -216,7 +213,7 @@ fn resuming_a_different_sweep_is_refused_with_a_typed_error() {
     let err = chip()
         .sweep()
         .grid(spec(vec![AppId::WaterNsq], vec![1, 2]))
-        .serial()
+        .threads(1)
         .resume(&missing.0)
         .run()
         .unwrap_err();
@@ -247,7 +244,7 @@ fn three_abandoned_executions_quarantine_the_cell_on_resume() {
     let report = chip()
         .sweep()
         .grid(s)
-        .serial()
+        .threads(1)
         .resume(&journal.0)
         .run()
         .unwrap();
@@ -296,7 +293,7 @@ fn three_abandoned_executions_quarantine_the_cell_on_resume() {
         .sweep()
         .grid(s2)
         .retry_policy(relaxed)
-        .serial()
+        .threads(1)
         .resume(&journal2.0)
         .run()
         .unwrap();
@@ -336,7 +333,13 @@ fn watchdog_deadline_turns_a_hung_cell_into_a_typed_failure() {
 /// `(app@n, status)` of every outcome record in the journal at `path`,
 /// in the order the sweep settled the cells.
 fn settle_order(path: &Path) -> Vec<(String, String)> {
-    let (records, _) = checked_records(&std::fs::read_to_string(path).unwrap());
+    journal_cells(&std::fs::read_to_string(path).unwrap(), "outcome")
+}
+
+/// `(app@n, status)` of every record of `kind` in the journal `text`, in
+/// journal order; a `start` record has no status.
+fn journal_cells(text: &str, kind: &str) -> Vec<(String, String)> {
+    let (records, _) = checked_records(text);
     let field = |record: &Json, key: &str| match record {
         Json::Obj(fields) => match fields.iter().find(|(k, _)| k == key) {
             Some((_, Json::Str(s))) => s.clone(),
@@ -347,7 +350,7 @@ fn settle_order(path: &Path) -> Vec<(String, String)> {
     };
     records
         .iter()
-        .filter(|r| field(r, "kind") == "outcome")
+        .filter(|r| field(r, "kind") == kind)
         .map(|r| {
             let cell = format!("{}@{}", field(r, "app"), field(r, "n"));
             (cell, field(r, "status"))
@@ -402,8 +405,11 @@ fn a_cell_deadline_does_not_outlive_its_cell() {
 #[test]
 fn only_cells_run_under_the_cell_deadline() {
     // A deadline shorter than any cell fails every cell with a typed
-    // deadline error. The anchor and profile runs call the panicking
-    // `chip.run`: had they run under it, the sweep would have panicked.
+    // deadline error. The profile runs call the panicking `chip.run`:
+    // had they run under it, the sweep would have panicked. An n = 1
+    // cell measures its row's anchor run, so it fails in the thermal
+    // solve: had the anchor run under the deadline, its simulation would
+    // have failed the whole row first.
     let report = chip()
         .sweep()
         .grid(spec(vec![AppId::WaterNsq, AppId::Fft], vec![1, 2, 4]))
@@ -424,6 +430,16 @@ fn only_cells_run_under_the_cell_deadline() {
             cell.work,
             cell.n
         );
+        if cell.n == 1 {
+            assert!(
+                matches!(
+                    reason,
+                    ExperimentError::Thermal(ThermalError::DeadlineExceeded { .. })
+                ),
+                "{}@1: expected the anchor run to finish, got: {reason}",
+                cell.work
+            );
+        }
         assert_eq!(attempts, 1, "a cancelled cell must not be retried");
     }
 }
@@ -444,7 +460,7 @@ fn hung_executions_accumulate_strikes_until_quarantine() {
             .grid(spec(apps.clone(), counts.clone()))
             .faults(plan.clone())
             .cell_deadline(Duration::from_millis(100))
-            .serial();
+            .threads(1);
         let b = if i == 0 {
             b.checkpoint(&journal.0)
         } else {
@@ -461,7 +477,7 @@ fn hung_executions_accumulate_strikes_until_quarantine() {
         .grid(spec(apps, counts))
         .faults(plan)
         .cell_deadline(Duration::from_millis(100))
-        .serial()
+        .threads(1)
         .resume(&journal.0)
         .run()
         .unwrap();
@@ -486,7 +502,7 @@ fn raised_interrupt_flag_stops_the_sweep_resumably() {
     let reference = chip()
         .sweep()
         .grid(spec(apps.clone(), counts.clone()))
-        .serial()
+        .threads(1)
         .run()
         .unwrap();
     let (_, ref_json) = report_bytes(&reference);
@@ -497,7 +513,7 @@ fn raised_interrupt_flag_stops_the_sweep_resumably() {
     let err = chip()
         .sweep()
         .grid(spec(apps.clone(), counts.clone()))
-        .serial()
+        .threads(1)
         .checkpoint(&journal.0)
         .interrupt(flag)
         .run()
@@ -514,7 +530,7 @@ fn raised_interrupt_flag_stops_the_sweep_resumably() {
     let resumed = chip()
         .sweep()
         .grid(spec(apps, counts))
-        .serial()
+        .threads(1)
         .resume(&journal.0)
         .run()
         .unwrap();
@@ -528,7 +544,7 @@ fn resumed_row_profiles_only_the_counts_its_unsettled_cells_need() {
     let reference = chip()
         .sweep()
         .grid(spec(apps.clone(), counts.clone()))
-        .serial()
+        .threads(1)
         .run()
         .unwrap();
 
@@ -537,7 +553,7 @@ fn resumed_row_profiles_only_the_counts_its_unsettled_cells_need() {
     chip()
         .sweep()
         .grid(spec(apps.clone(), counts.clone()))
-        .serial()
+        .threads(1)
         .checkpoint(&journal.0)
         .run()
         .unwrap();
@@ -571,62 +587,93 @@ fn resumed_row_profiles_only_the_counts_its_unsettled_cells_need() {
     assert_eq!(trace.counter("sim.runs"), Some(5));
 }
 
-/// A governor that never adjusts, but raises the sweep's interrupt flag
-/// the first time any cell consults it: a deterministic interrupt from
-/// inside the task graph.
-#[derive(Debug)]
-struct InterruptOnFirstCell(Arc<AtomicBool>);
-
-impl Governor for InterruptOnFirstCell {
-    fn name(&self) -> &'static str {
-        "interrupt-on-first-cell"
-    }
-
-    fn adjust(&self, _: &[Celsius], _: &DvfsTable, _: OperatingPoint) -> Option<OperatingPoint> {
-        self.0.store(true, Ordering::SeqCst);
-        None
-    }
-}
-
 #[test]
 fn interrupt_mid_graph_resumes_to_the_same_bytes() {
+    // FFT@2 hangs until its cell deadline. A watcher raises the interrupt
+    // flag once the journal holds that cell's start record, so the run
+    // stops inside the task graph while the hung cell still holds its
+    // worker.
     let apps = vec![AppId::WaterNsq, AppId::Fft];
     let counts = vec![1, 2, 4, 8];
-    let reference = chip()
-        .sweep()
-        .grid(spec(apps.clone(), counts.clone()))
-        .serial()
-        .run()
-        .unwrap();
+    let plan = FaultPlan::none().inject_work(WorkloadId::App(AppId::Fft), 2, Fault::Hang);
+    let chip = chip();
+    let configured = |threads: usize| {
+        chip.sweep()
+            .grid(spec(apps.clone(), counts.clone()))
+            .faults(plan.clone())
+            .cell_deadline(Duration::from_millis(500))
+            .threads(threads)
+    };
+
+    // The uninterrupted reference fails FFT@2 past its deadline. One
+    // worker pops the newest task first, so FFT@8 and FFT@4 settle before
+    // the hung cell, and FFT@1 and the Water-Nsq row after it.
+    let ref_journal = TempJournal::new("mid-graph-reference");
+    let reference = configured(1).checkpoint(&ref_journal.0).run().unwrap();
+    let order = settle_order(&ref_journal.0);
+    assert_eq!(
+        order[..3],
+        [
+            ("FFT@8".to_string(), "completed".to_string()),
+            ("FFT@4".to_string(), "completed".to_string()),
+            ("FFT@2".to_string(), "failed".to_string()),
+        ],
+        "{order:?}"
+    );
+    let failed: Vec<_> = reference.failed().collect();
+    assert!(
+        matches!(
+            failed[..],
+            [(
+                _,
+                ExperimentError::Sim(SimError::DeadlineExceeded { cycle: 0 }),
+                1
+            )]
+        ),
+        "{}",
+        reference.summary()
+    );
 
     for threads in [1, 2] {
         let journal = TempJournal::new("mid-graph");
         let flag = Arc::new(AtomicBool::new(false));
-        let interrupting = chip().with_governor(Box::new(InterruptOnFirstCell(Arc::clone(&flag))));
-        let err = interrupting
-            .sweep()
-            .grid(spec(apps.clone(), counts.clone()))
-            .threads(threads)
-            .checkpoint(&journal.0)
-            .interrupt(flag)
-            .run()
-            .unwrap_err();
+        let finished = AtomicBool::new(false);
+        let err = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !finished.load(Ordering::SeqCst) {
+                    let text = std::fs::read_to_string(&journal.0).unwrap_or_default();
+                    if journal_cells(&text, "start")
+                        .iter()
+                        .any(|(cell, _)| cell == "FFT@2")
+                    {
+                        flag.store(true, Ordering::SeqCst);
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            });
+            let result = configured(threads)
+                .checkpoint(&journal.0)
+                .interrupt(Arc::clone(&flag))
+                .run();
+            finished.store(true, Ordering::SeqCst);
+            result
+        })
+        .unwrap_err();
         let ExperimentError::Interrupted(info) = err else {
             panic!("expected an interrupt, got: {err}");
         };
         assert_eq!(info.total_cells, 8);
-        assert!(
-            (1..8).contains(&info.completed_cells),
-            "{threads} thread(s): {info}"
-        );
+        if threads == 1 {
+            // FFT@8, FFT@4 and the hung FFT@2 itself.
+            assert_eq!(info.completed_cells, 3, "{info}");
+        } else {
+            // FFT@1 is queued beneath FFT@2, and the Water-Nsq cells wait
+            // on their row's anchor, the oldest task in the queue.
+            assert!((1..8).contains(&info.completed_cells), "{info}");
+        }
 
-        let resumed = chip()
-            .sweep()
-            .grid(spec(apps.clone(), counts.clone()))
-            .threads(threads)
-            .resume(&journal.0)
-            .run()
-            .unwrap();
+        let resumed = configured(threads).resume(&journal.0).run().unwrap();
         assert_eq!(report_bytes(&resumed), report_bytes(&reference));
     }
 }

@@ -174,7 +174,7 @@ pub fn chip() -> ExperimentalChip {
 /// endpoints must match them byte for byte.
 pub fn reference_report(configure: impl FnOnce(SweepBuilder) -> SweepBuilder) -> String {
     let chip = chip();
-    let report = configure(chip.sweep().serial()).run().expect("reference");
+    let report = configure(chip.sweep().threads(1)).run().expect("reference");
     let mut text = report.to_json().to_string_pretty();
     text.push('\n');
     text

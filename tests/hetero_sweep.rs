@@ -85,14 +85,14 @@ fn homogeneous_spec_is_byte_identical_to_legacy_config() {
     let mut split_report = split_chip
         .sweep()
         .grid(spec(apps.clone(), counts.clone()))
-        .serial()
+        .threads(1)
         .checkpoint(&split_journal.0)
         .run()
         .unwrap();
     let modern_report = one_class_chip
         .sweep()
         .grid(spec(apps, counts))
-        .serial()
+        .threads(1)
         .checkpoint(&modern_journal.0)
         .run()
         .unwrap();
@@ -129,7 +129,7 @@ fn big_little_sweep_is_deterministic_across_thread_counts() {
     let chip = ExperimentalChip::from_spec(ChipSpec::big_little(4, 12), Technology::itrs_65nm());
     let s = spec(vec![AppId::WaterNsq, AppId::Fft], vec![1, 2, 4, 8]);
 
-    let serial = chip.sweep().grid(s.clone()).serial().run().unwrap();
+    let serial = chip.sweep().grid(s.clone()).threads(1).run().unwrap();
     let threaded = chip.sweep().grid(s).threads(2).run().unwrap();
 
     assert_eq!(report_bytes(&serial), report_bytes(&threaded));
@@ -149,14 +149,14 @@ fn killed_and_resumed_big_little_sweep_is_byte_identical() {
     let chip = ExperimentalChip::from_spec(ChipSpec::big_little(2, 6), Technology::itrs_65nm());
     let s = spec(vec![AppId::WaterNsq, AppId::Fft], vec![1, 2, 4]);
 
-    let reference = chip.sweep().grid(s.clone()).serial().run().unwrap();
+    let reference = chip.sweep().grid(s.clone()).threads(1).run().unwrap();
     let (ref_dbg, ref_json) = report_bytes(&reference);
 
     let journal = TempJournal::new("kill-resume");
     let full = chip
         .sweep()
         .grid(s.clone())
-        .serial()
+        .threads(1)
         .checkpoint(&journal.0)
         .run()
         .unwrap();
@@ -174,7 +174,7 @@ fn killed_and_resumed_big_little_sweep_is_byte_identical() {
     let resumed = chip
         .sweep()
         .grid(s)
-        .serial()
+        .threads(1)
         .resume(&journal.0)
         .run()
         .unwrap();
@@ -191,7 +191,7 @@ fn heterogeneous_resume_refuses_homogeneous_journal() {
     ExperimentalChip::from_spec(ChipSpec::ispass05(16), Technology::itrs_65nm())
         .sweep()
         .grid(s.clone())
-        .serial()
+        .threads(1)
         .checkpoint(&journal.0)
         .run()
         .unwrap();
@@ -201,7 +201,7 @@ fn heterogeneous_resume_refuses_homogeneous_journal() {
         .sweep()
         .grid(s.clone())
         .core_mix(4, 12)
-        .serial()
+        .threads(1)
         .resume(&journal.0)
         .run()
         .unwrap_err();
@@ -219,14 +219,14 @@ fn heterogeneous_resume_refuses_homogeneous_journal() {
     ExperimentalChip::from_spec(ChipSpec::big_little(4, 12), Technology::itrs_65nm())
         .sweep()
         .grid(s.clone())
-        .serial()
+        .threads(1)
         .checkpoint(&hetero_journal.0)
         .run()
         .unwrap();
     let err = ExperimentalChip::from_spec(ChipSpec::ispass05(16), Technology::itrs_65nm())
         .sweep()
         .grid(s)
-        .serial()
+        .threads(1)
         .resume(&hetero_journal.0)
         .run()
         .unwrap_err();
@@ -252,7 +252,7 @@ fn budgeted_sweep_reports_dark_silicon_everywhere() {
             area_mm2: 111.0,
             tdp_watts: 125.0,
         })
-        .serial()
+        .threads(1)
         .run()
         .unwrap();
 

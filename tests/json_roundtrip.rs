@@ -24,11 +24,11 @@ use std::sync::OnceLock;
 
 use cmp_tlp::jsonout::{calibration_json, operating_point_json, sim_result_json};
 use cmp_tlp::scenario1::Scenario1Result;
-use cmp_tlp::sweep::{CellOutcome, Fault, FaultPlan, RetryPolicy, SweepSpec, WorkloadId};
-use cmp_tlp::{profiling, scenario1, scenario2, EfficiencyProfile, ExperimentalChip, ThermalAware};
+use cmp_tlp::sweep::{Fault, FaultPlan, RetryPolicy, SweepSpec, WorkloadId};
+use cmp_tlp::{profiling, scenario1, scenario2, EfficiencyProfile, ExperimentalChip};
 use tlp_sim::ChipSpec;
 use tlp_tech::json::{Json, ToJson};
-use tlp_tech::units::{Celsius, Hertz};
+use tlp_tech::units::Hertz;
 use tlp_tech::{OperatingPoint, Technology};
 use tlp_workloads::{AppId, Scale};
 
@@ -168,7 +168,7 @@ fn sweep_report_round_trips() {
         .grid(spec)
         .retry_policy(RetryPolicy::no_retries())
         .faults(plan)
-        .serial()
+        .threads(1)
         .run()
         .expect("sweep");
     assert_eq!(r.failed().count(), 1);
@@ -187,41 +187,7 @@ fn sweep_report_wide_round_trips() {
         scale: Scale::Test,
         seed: SEED,
     };
-    let r = chip().sweep().grid(spec).serial().run().expect("sweep");
+    let r = chip().sweep().grid(spec).threads(1).run().expect("sweep");
     assert_eq!(r.failed().count(), 0);
     assert_roundtrip_and_golden("sweep_report_wide", &r.to_json());
-}
-
-#[test]
-fn sweep_report_governed_round_trips() {
-    // A 45 °C thermal governor exercises every exit of the measure →
-    // adjust loop: FMM at n = 1–8 hits the three-adjustment cap
-    // (attempts 4), FMM at n = 16 reaches the ladder floor after one
-    // adjustment (attempts 2), and the server row at n = 16 never
-    // adjusts (attempts 1).
-    let chip = ExperimentalChip::from_spec(ChipSpec::ispass05(16), Technology::itrs_65nm())
-        .with_governor(Box::new(ThermalAware::new(Celsius::new(45.0))));
-    let spec = SweepSpec {
-        apps: vec![AppId::Fmm],
-        server_loads: vec![2_000_000],
-        core_counts: vec![1, 2, 4, 8, 16],
-        scale: Scale::Test,
-        seed: 7,
-    };
-    let r = chip.sweep().grid(spec).serial().run().expect("sweep");
-    assert_eq!(r.failed().count(), 0);
-    let attempts = |work: WorkloadId, n: usize| {
-        r.cells
-            .iter()
-            .find(|(c, _)| c.work == work && c.n == n)
-            .map(|(_, o)| match o {
-                CellOutcome::Completed { attempts, .. } => *attempts,
-                other => panic!("{work}@{n} did not complete: {other:?}"),
-            })
-            .expect("cell in report")
-    };
-    assert_eq!(attempts(WorkloadId::App(AppId::Fmm), 8), 4);
-    assert_eq!(attempts(WorkloadId::App(AppId::Fmm), 16), 2);
-    assert_eq!(attempts(WorkloadId::Server { rps: 2_000_000 }, 16), 1);
-    assert_roundtrip_and_golden("sweep_report_governed", &r.to_json());
 }

@@ -45,7 +45,7 @@ fn run(
         .expect("sweep")
 }
 
-/// The serial reference: the builder's `.serial()` stage.
+/// The serial reference: the builder's `.threads(1)` stage.
 fn run_serial(
     chip: &ExperimentalChip,
     spec: &SweepSpec,
@@ -56,7 +56,7 @@ fn run_serial(
         .grid(spec.clone())
         .retry_policy(*policy)
         .faults(plan.clone())
-        .serial()
+        .threads(1)
         .run()
         .expect("serial sweep")
 }

@@ -381,7 +381,7 @@ fn crashed_mid_run_job_resumes_to_a_byte_identical_report() {
         let full = chip()
             .sweep()
             .grid(spec)
-            .serial()
+            .threads(1)
             .checkpoint(store.journal_path(&id))
             .run()
             .expect("journaled run");

@@ -119,7 +119,7 @@ fn request_rows(report: &SweepReport) -> Vec<(WorkloadId, usize, Option<RequestS
 #[test]
 fn server_sweep_is_byte_identical_across_thread_counts() {
     let chip = chip();
-    let serial = chip.sweep().grid(spec()).serial().run().expect("serial");
+    let serial = chip.sweep().grid(spec()).threads(1).run().expect("serial");
     let parallel = chip
         .sweep()
         .grid(spec())
@@ -177,14 +177,19 @@ fn server_sweep_is_byte_identical_across_thread_counts() {
 #[test]
 fn killed_and_resumed_server_sweep_is_byte_identical() {
     let chip = chip();
-    let reference = chip.sweep().grid(spec()).serial().run().expect("reference");
+    let reference = chip
+        .sweep()
+        .grid(spec())
+        .threads(1)
+        .run()
+        .expect("reference");
     let ref_json = reference.to_json().to_string_pretty();
 
     let journal = TempJournal::new("kill-resume");
     let full = chip
         .sweep()
         .grid(spec())
-        .serial()
+        .threads(1)
         .checkpoint(&journal.0)
         .run()
         .expect("checkpointed");
@@ -201,7 +206,7 @@ fn killed_and_resumed_server_sweep_is_byte_identical() {
     let resumed = chip
         .sweep()
         .grid(spec())
-        .serial()
+        .threads(1)
         .resume(&journal.0)
         .run()
         .expect("resumed");
@@ -213,7 +218,7 @@ fn killed_and_resumed_server_sweep_is_byte_identical() {
     let respliced = chip
         .sweep()
         .grid(spec())
-        .serial()
+        .threads(1)
         .resume(&journal.0)
         .run()
         .expect("respliced");
@@ -222,7 +227,7 @@ fn killed_and_resumed_server_sweep_is_byte_identical() {
 
 #[test]
 fn server_sweep_report_matches_golden_snapshot() {
-    let report = chip().sweep().grid(spec()).serial().run().expect("sweep");
+    let report = chip().sweep().grid(spec()).threads(1).run().expect("sweep");
     assert_roundtrip_and_golden("server_sweep_report", &report.to_json());
 }
 

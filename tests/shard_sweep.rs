@@ -79,7 +79,7 @@ fn segment_text(spec: &SweepSpec, range: WorkRange, dir: &TempDir, tag: &str) ->
     chip()
         .sweep()
         .grid(subspec(spec, range))
-        .serial()
+        .threads(1)
         .checkpoint(&journal)
         .run()
         .expect("segment sweep");

@@ -43,7 +43,7 @@ fn traced_span_tree_is_identical_for_any_thread_count() {
     let (serial_report, serial_trace) = chip
         .sweep()
         .grid(spec())
-        .serial()
+        .threads(1)
         .run_traced()
         .expect("serial traced sweep");
     let (parallel_report, parallel_trace) = chip
